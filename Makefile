@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-identify bench-compare race chaos chaos-fleet chaos-coord metrics-smoke eco-smoke fuzz crosscheck cover suite clean
+.PHONY: all build test vet bench bench-identify bench-compare bench-smoke race chaos chaos-fleet chaos-coord metrics-smoke eco-smoke fuzz crosscheck cover suite clean
 
 all: build vet test
 
@@ -96,12 +96,19 @@ bench-compare:
 	fi; \
 	rm -f BENCH_identify.baseline.json; exit $$status
 
+# Smoke test of the end-to-end benchmark: every rdbench workload on a
+# tiny job list with every answer checked. rdbench is a module of its
+# own, so the root's `go test ./...` does not reach it.
+bench-smoke:
+	cd rdbench && $(GO) test ./...
+
 # Regenerates every table and figure of the paper (see EXPERIMENTS.md).
 bench:
 	$(GO) test -bench=. -benchmem -timeout 30m .
 
-# Short fuzz pass over the three netlist parsers and the differential
-# oracle harness.
+# Short fuzz pass over the three netlist parsers, the differential
+# oracle harness and the implication engine (flat vs reference, and
+# cone-bounded vs reference).
 fuzz:
 	$(GO) test ./internal/circuit -run=NONE -fuzz FuzzParseBench -fuzztime 30s
 	$(GO) test ./internal/store -run=NONE -fuzz FuzzECODelta -fuzztime 30s
@@ -110,6 +117,7 @@ fuzz:
 	$(GO) test ./internal/pla -run=NONE -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/oracle/diff -run=NONE -fuzz FuzzCrossCheck -fuzztime 30s
 	$(GO) test ./internal/logic -run=NONE -fuzz FuzzEngineDiff -fuzztime 30s
+	$(GO) test ./internal/logic -run=NONE -fuzz FuzzEngineBoundedDiff -fuzztime 30s
 
 # The seeded differential sweep: 64 random circuits through the fast
 # identifier and the exact oracle, checking soundness, Lemma 1

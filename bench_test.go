@@ -355,6 +355,8 @@ func BenchmarkIdentifyCached(b *testing.B) {
 				UncachedBytes:  unBytes,
 				CachedBytes:    caBytes,
 				Counters:       warm,
+				GOMAXPROCS:     runtime.GOMAXPROCS(0),
+				NumCPU:         runtime.NumCPU(),
 			})
 			analysis.Reset()
 		})
@@ -450,6 +452,8 @@ func BenchmarkIdentifyCached(b *testing.B) {
 			UncachedBytes:  coldAfter.TotalAlloc - coldBefore.TotalAlloc,
 			CachedBytes:    warmBytes,
 			Counters:       cold,
+			GOMAXPROCS:     runtime.GOMAXPROCS(0),
+			NumCPU:         runtime.NumCPU(),
 		})
 		analysis.Reset()
 	})

@@ -12,6 +12,11 @@ func row(circuit string, speedup, pps float64) benchjson.IdentifyRow {
 	return benchjson.IdentifyRow{Circuit: circuit, Speedup: speedup, PathsPerSec: pps}
 }
 
+func shaped(r benchjson.IdentifyRow, gomaxprocs, numCPU int) benchjson.IdentifyRow {
+	r.GOMAXPROCS, r.NumCPU = gomaxprocs, numCPU
+	return r
+}
+
 // TestCompareGate: the regression arithmetic — within-tolerance drift
 // passes, beyond-tolerance drift fails, missing circuits fail, metrics
 // the baseline lacks are skipped.
@@ -46,6 +51,23 @@ func TestCompareGate(t *testing.T) {
 			t.Fatalf("dropped circuit must gate: got %d", n)
 		}
 	})
+	t.Run("host-shape-differs", func(t *testing.T) {
+		b := []benchjson.IdentifyRow{shaped(row("c432", 2.0, 1e6), 1, 1)}
+		cur := []benchjson.IdentifyRow{shaped(row("c432", 2.0, 1e6), 2, 2)}
+		var out strings.Builder
+		if n := compare(&out, b, cur, 0.85); n != 1 {
+			t.Fatalf("rows from different host shapes must fail the gate, got %d failures", n)
+		}
+		if !strings.Contains(out.String(), "incomparable host shape") {
+			t.Fatalf("shape mismatch not reported:\n%s", out.String())
+		}
+	})
+	t.Run("baseline-lacks-shape", func(t *testing.T) {
+		cur := []benchjson.IdentifyRow{shaped(row("c432", 2.0, 1e6), 2, 2), shaped(row("c880", 3.0, 2e6), 2, 2)}
+		if n := compare(&strings.Builder{}, base, cur, 0.85); n != 0 {
+			t.Fatalf("a baseline without a host shape must compare as before, got %d failures", n)
+		}
+	})
 	t.Run("legacy-baseline-skips-pps", func(t *testing.T) {
 		legacy := []benchjson.IdentifyRow{row("c432", 2.0, 0)} // no paths/sec in old artifacts
 		cur := []benchjson.IdentifyRow{row("c432", 2.0, 1e6)}
@@ -69,4 +91,23 @@ func TestGoldenCompare(t *testing.T) {
 	out := goldentest.Run(t, "benchcompare", main,
 		"-baseline", baseline, "-current", current, "-tolerance", "0.85")
 	goldentest.Check(t, golden, out)
+}
+
+// TestGoldenIncomparableHostShape: a row measured on a different host
+// shape than its baseline fails the gate with exit status 1 even when
+// its ratios improved; a row on the same shape is compared as usual.
+func TestGoldenIncomparableHostShape(t *testing.T) {
+	golden := goldentest.Golden(t, "shape")
+	var stdout, stderr strings.Builder
+	code := run([]string{
+		"-baseline", goldentest.Fixture(t, "shape-baseline.json"),
+		"-current", goldentest.Fixture(t, "shape-current.json"),
+	}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit status %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "incomparable host shape") {
+		t.Fatalf("stderr does not name the host shape: %s", stderr.String())
+	}
+	goldentest.Check(t, golden, stdout.String())
 }

@@ -83,6 +83,10 @@ type IdentifyRow struct {
 	UncachedBytes  uint64           `json:"uncached_bytes_per_op"`
 	CachedBytes    uint64           `json:"cached_bytes_per_op"`
 	Counters       IdentifyCounters `json:"counters"`
+	// GOMAXPROCS and NumCPU record the host shape the row was measured
+	// on; zero in artifacts written before they were recorded.
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
+	NumCPU     int `json:"num_cpu,omitempty"`
 }
 
 // Encode writes rows under the versioned envelope.

@@ -37,6 +37,15 @@ type Flat struct {
 	FanoutOff []int32
 	Fanout    []GateID
 	FanoutPin []int32
+	// Reach[g] is the output-reachability mask of g: bit b is set when g
+	// lies in the cone of an output of bucket b, and output i (in
+	// Outputs() order) falls in bucket i*64/len(Outputs()). With at most
+	// 64 outputs every output has a bucket to itself and the mask is
+	// exact; beyond that outputs share buckets and the mask
+	// over-approximates. Cones are closed under fanin, so Reach[f]
+	// contains Reach[g] whenever f feeds g. The implication engine uses
+	// it to stop propagating into logic a path can no longer reach.
+	Reach []uint64
 }
 
 // FaninOf returns the ordered fanin of gate g as a subslice of the CSR
@@ -53,7 +62,9 @@ func (f *Flat) FanoutOf(g GateID) []GateID {
 
 // buildFlat packs c into the struct-of-arrays layout. One pass over the
 // gates sizes the CSR arrays exactly; a second fills them, so the whole
-// layout is a handful of right-sized allocations.
+// layout is a handful of right-sized allocations. A reverse pass over the
+// gate IDs, which are topological, then folds each gate's Reach mask into
+// its fanins.
 func buildFlat(c *Circuit) *Flat {
 	n := len(c.gates)
 	f := &Flat{
@@ -85,6 +96,15 @@ func buildFlat(c *Circuit) *Flat {
 		}
 	}
 	f.FanoutOff[n] = int32(len(f.Fanout))
+	f.Reach = make([]uint64, n)
+	for i, o := range c.outputs {
+		f.Reach[o] = 1 << (i * 64 / len(c.outputs))
+	}
+	for g := n - 1; g >= 0; g-- {
+		for _, fi := range f.Fanin[f.FaninOff[g]:f.FaninOff[g+1]] {
+			f.Reach[fi] |= f.Reach[g]
+		}
+	}
 	return f
 }
 

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -93,5 +94,49 @@ func TestFlatSharedAndStable(t *testing.T) {
 	c2 := buildFlatFixture(t)
 	if c2.Flat() == f1 {
 		t.Fatal("distinct circuit versions share a Flat")
+	}
+}
+
+// chainFixture builds a chain of n AND gates, each also driving an
+// output of its own, so the cone of output j holds gates 0..j of the
+// chain.
+func chainFixture(t *testing.T, n int) *Circuit {
+	t.Helper()
+	b := NewBuilder("chain-fixture")
+	in := []GateID{b.Input("a"), b.Input("b"), b.Input("c")}
+	prev := in[0]
+	for i := 0; i < n; i++ {
+		prev = b.Gate(And, fmt.Sprintf("g%d", i), prev, in[1+i%2])
+		b.Output(fmt.Sprintf("po%d", i), prev)
+	}
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestFlatReach: Reach[g] holds exactly the bucket bits of the outputs
+// whose cones contain g. Output i of n falls in bucket i*64/n, so with
+// up to 64 outputs the mask is exact and beyond that buckets are shared.
+func TestFlatReach(t *testing.T) {
+	for _, c := range []*Circuit{buildFlatFixture(t), chainFixture(t, 64), chainFixture(t, 70)} {
+		f := c.Flat()
+		outs := c.Outputs()
+		want := make([]uint64, c.NumGates())
+		for i, po := range outs {
+			_, mapping, err := c.Cone(po)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range mapping {
+				want[g] |= 1 << (i * 64 / len(outs))
+			}
+		}
+		for g := range want {
+			if f.Reach[g] != want[g] {
+				t.Errorf("%s gate %d: Reach %#x, want %#x", c.Name(), g, f.Reach[g], want[g])
+			}
+		}
 	}
 }

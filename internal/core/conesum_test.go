@@ -97,6 +97,63 @@ func TestConeCountersSumToWholeCircuit(t *testing.T) {
 	}
 }
 
+// TestConeLeadCountsSumToWholeCircuit pins cone-bounded implication
+// (logic.Engine.Narrow) to an unbounded reference, lead by lead. A
+// whole-circuit walk narrows implication to the outputs each path can
+// still reach; a cone walk has one output, so its bound never excludes
+// a gate. For FS and T (the two Algorithm 3 passes) every per-cone
+// LeadCounts vector, mapped back through the cone's gate mapping and
+// summed, must equal the whole-circuit vector exactly. The random
+// circuit has more than 64 outputs, so its Reach buckets are shared.
+func TestConeLeadCountsSumToWholeCircuit(t *testing.T) {
+	suite := append([]gen.Named{{Paper: "paper-example", C: gen.PaperExample()}}, gen.ISCAS85Suite()...)
+	wide := gen.RandomCircuit("wide", gen.RandomOptions{Inputs: 24, Gates: 120, Outputs: 70}, 5)
+	if len(wide.Outputs()) <= 64 {
+		t.Fatalf("wide circuit has %d outputs, want more than 64", len(wide.Outputs()))
+	}
+	suite = append(suite, gen.Named{Paper: "random-70-out", C: wide})
+	tested := 0
+	for _, nc := range suite {
+		if paths.NewCounts(nc.C).Logical().Cmp(big.NewInt(coneSumLimit)) > 0 {
+			continue
+		}
+		tested++
+		c := nc.C
+		for _, cr := range []Criterion{FS, NonRobust} {
+			t.Run(nc.Paper+"/"+cr.String(), func(t *testing.T) {
+				whole, err := Enumerate(c, cr, Options{CollectLeadCounts: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := make([]int64, c.NumLeads())
+				for _, po := range c.Outputs() {
+					cone, mapping, err := c.Cone(po)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := Enumerate(cone, cr, Options{CollectLeadCounts: true})
+					if err != nil {
+						t.Fatalf("cone %s: %v", cone.Name(), err)
+					}
+					for g := circuit.GateID(0); int(g) < cone.NumGates(); g++ {
+						for pin := range cone.Fanin(g) {
+							sum[c.LeadIndex(mapping[g], pin)] += res.LeadCounts[cone.LeadIndex(g, pin)]
+						}
+					}
+				}
+				for i := range sum {
+					if sum[i] != whole.LeadCounts[i] {
+						t.Fatalf("lead %d: cone tallies sum to %d, whole-circuit walk counts %d", i, sum[i], whole.LeadCounts[i])
+					}
+				}
+			})
+		}
+	}
+	if tested < 3 {
+		t.Fatalf("only %d circuits under the %d-path limit; property barely exercised", tested, coneSumLimit)
+	}
+}
+
 // TestConeFSCountersSum covers the sortless FS baseline: the FUS
 // criterion makes per-output decisions too, so its counters shard the
 // same way.

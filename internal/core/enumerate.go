@@ -506,6 +506,9 @@ func (w *walker) extend(e circuit.Edge) bool {
 	onPathCtrl := hasCtrl && val == ctrlVal
 	w.sideBuf = w.cr.sideConstraints(w.sideBuf[:0], w.c, w.opt.Sort, next, e.Pin, onPathCtrl)
 
+	// Every path through next ends at an output next reaches, so
+	// implication need not leave those outputs' cones (logic.Engine.Narrow).
+	w.eng.Narrow(next)
 	mark := w.eng.Mark()
 	ok := w.eng.Assign(next, nval)
 	if ok {
@@ -572,6 +575,7 @@ func (w *walker) walkRejected(g circuit.GateID) bool {
 func (w *walker) run(pi circuit.GateID, x bool) bool {
 	mark := w.eng.Mark()
 	defer w.eng.BacktrackTo(mark)
+	w.eng.Narrow(pi)
 	// (π1): v sets PI(P) to x.
 	if !w.eng.Assign(pi, x) {
 		return true

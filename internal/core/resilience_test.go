@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -140,6 +141,55 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 				sameCounters(t, label, res, ref)
 			}
 		}
+	}
+}
+
+// TestResumeUnboundedCheckpoint resumes a checkpoint written before
+// implication was cone-bounded: testdata/alupipe4-heu2-sigmapi.ckpt is a
+// serial Heuristic 2 σ^π walk on ALUPipeline(4) interrupted halfway
+// through. Its snapshots hold forward values on gates outside the output
+// cones their branch can reach, which the bounded engine never derives.
+// The resumed walk must land on the uninterrupted run's counters, and
+// those must be the ones the unbounded engine counted.
+func TestResumeUnboundedCheckpoint(t *testing.T) {
+	c := gen.ALUPipeline(4, gen.XorNAND)
+	sort, _, _, err := Heuristic2SortWorkers(c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := ReadCheckpointFile(filepath.Join("testdata", "alupipe4-heu2-sigmapi.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reach := c.Flat().Reach
+	outside := 0
+	for _, tk := range cp.Tasks {
+		for _, g := range tk.SnapGates {
+			if !tk.IsRoot && reach[g]&reach[tk.EdgeTo] == 0 {
+				outside++
+			}
+		}
+	}
+	if outside == 0 {
+		t.Fatal("no snapshot value lies outside its branch's bound; the fixture tests nothing")
+	}
+	want, err := Enumerate(c, SigmaPi, Options{Sort: &sort})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Selected != 6076 || want.Segments != 35954 || want.Pruned != 1444 {
+		t.Fatalf("uninterrupted run counts selected=%d segments=%d pruned=%d, the unbounded engine counted 6076/35954/1444",
+			want.Selected, want.Segments, want.Pruned)
+	}
+	for _, workers := range []int{1, 4} {
+		got, err := Enumerate(c, SigmaPi, Options{Sort: &sort, Checkpoint: cp, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Status != StatusComplete {
+			t.Fatalf("w=%d: resumed run ended %v", workers, got.Status)
+		}
+		sameCounters(t, fmt.Sprintf("resumed w=%d", workers), got, want)
 	}
 }
 

@@ -229,6 +229,118 @@ func FuzzEngineDiff(f *testing.F) {
 	})
 }
 
+// boundedWalk drives random PI-to-PO walks through both engines the way
+// the path enumerator does: Narrow to the next gate, assert it and a
+// random subset of its fanins (the side inputs), backtrack on conflict,
+// and retreat to a random depth at an output. The bounded Engine must
+// give the unbounded RefEngine's verdict at every assertion and agree
+// with it on every gate whose Reach meets the live mask.
+func boundedWalk(t *testing.T, c *circuit.Circuit, rng *rand.Rand, steps int) {
+	t.Helper()
+	reach := c.Flat().Reach
+	fast := NewEngine(c)
+	ref := NewRefEngine(c)
+	agree := func(ctx string) {
+		t.Helper()
+		for g := circuit.GateID(0); int(g) < c.NumGates(); g++ {
+			if reach[g]&fast.live != 0 && fast.Value(g) != ref.Value(g) {
+				t.Fatalf("%s: live gate %d value %v (bounded) != %v (ref)", ctx, g, fast.Value(g), ref.Value(g))
+			}
+		}
+	}
+	assign := func(g circuit.GateID, v bool) bool {
+		t.Helper()
+		okF, okR := fast.Assign(g, v), ref.Assign(g, v)
+		if okF != okR {
+			t.Fatalf("assign g=%d v=%v: verdict %v (bounded) != %v (ref)", g, v, okF, okR)
+		}
+		return okF
+	}
+	// One stack level per path gate: the gate and both engines' marks
+	// taken before it was asserted.
+	type level struct {
+		g            circuit.GateID
+		fMark, rMark int
+	}
+	var path []level
+	for step := 0; step < steps; step++ {
+		if len(path) == 0 {
+			fast.Reset()
+			ref.Reset()
+			pi := c.Inputs()[rng.Intn(len(c.Inputs()))]
+			fast.Narrow(pi)
+			if assign(pi, rng.Intn(2) == 0) {
+				path = append(path, level{g: pi})
+			}
+			agree("root")
+			continue
+		}
+		g := path[len(path)-1].g
+		fo := c.Fanout(g)
+		if len(fo) == 0 {
+			// An output, or a PI without fanout: retreat to a random depth.
+			k := rng.Intn(len(path))
+			fast.BacktrackTo(path[k].fMark)
+			ref.BacktrackTo(path[k].rMark)
+			path = path[:k]
+			agree("retreat")
+			continue
+		}
+		next := fo[rng.Intn(len(fo))].To
+		fast.Narrow(next)
+		lv := level{g: next, fMark: fast.Mark(), rMark: ref.Mark()}
+		ok := assign(next, rng.Intn(2) == 0)
+		for _, side := range c.Fanin(next) {
+			if !ok {
+				break
+			}
+			if side != g && rng.Intn(2) == 0 {
+				ok = assign(side, rng.Intn(2) == 0)
+			}
+		}
+		if ok {
+			path = append(path, lv)
+		} else {
+			fast.BacktrackTo(lv.fMark)
+			ref.BacktrackTo(lv.rMark)
+		}
+		agree("extend")
+	}
+}
+
+// TestDifferentialBoundedVsRef: on random circuits with 1 to 100
+// outputs (past the 64 at which Reach buckets start to share bits), the
+// narrowed engine agrees with the unbounded reference inside its bound.
+func TestDifferentialBoundedVsRef(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed * 104729))
+		outs := 1 + rng.Intn(100)
+		c := gen.RandomCircuit("bounded", gen.RandomOptions{
+			Inputs:  2 + rng.Intn(10),
+			Gates:   outs + rng.Intn(120),
+			Outputs: outs,
+		}, seed)
+		boundedWalk(t, c, rng, 600)
+	}
+}
+
+// FuzzEngineBoundedDiff is the fuzz target for the bound: the fuzzer
+// picks the circuit (1 to 100 outputs) and the walk's random choices.
+func FuzzEngineBoundedDiff(f *testing.F) {
+	f.Add(int64(1), uint8(3), int64(11))
+	f.Add(int64(9), uint8(70), int64(5))
+	f.Add(int64(42), uint8(99), int64(123))
+	f.Fuzz(func(t *testing.T, seed int64, outs uint8, walkSeed int64) {
+		n := 1 + int(outs)%100
+		c := gen.RandomCircuit("fuzzbound", gen.RandomOptions{
+			Inputs:  2 + int(uint64(seed)%9),
+			Gates:   n + int(uint64(seed)>>4%80),
+			Outputs: n,
+		}, seed)
+		boundedWalk(t, c, rand.New(rand.NewSource(walkSeed)), 300)
+	})
+}
+
 // BenchmarkEngineVsRef pits the two layouts on the same workload (the
 // input-sweep pattern of BenchmarkImplicationEngine); run with -bench to
 // see the flat engine's edge directly.

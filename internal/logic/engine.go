@@ -40,6 +40,11 @@ type Engine struct {
 	trail []circuit.GateID
 	queue []circuit.GateID
 
+	// live is the output-bucket mask of Narrow: an assignment schedules
+	// only the fanout gates whose Flat.Reach meets it. All ones (no
+	// bound) until the first Narrow and again after Reset.
+	live uint64
+
 	confl   bool
 	nAssign int64 // statistics: total value assignments performed
 	nImply  int64 // assignments derived by implication
@@ -59,6 +64,7 @@ func NewEngine(c *circuit.Circuit) *Engine {
 		queued: make([]uint64, (n+63)/64),
 		trail:  make([]circuit.GateID, 0, n),
 		queue:  make([]circuit.GateID, 0, n),
+		live:   ^uint64(0),
 	}
 }
 
@@ -118,8 +124,24 @@ func (e *Engine) drainQueue() {
 	e.queue = e.queue[:0]
 }
 
-// Reset clears all assignments.
-func (e *Engine) Reset() { e.BacktrackTo(0) }
+// Reset clears all assignments and lifts any Narrow bound.
+func (e *Engine) Reset() {
+	e.BacktrackTo(0)
+	e.live = ^uint64(0)
+}
+
+// Narrow bounds implication to the cones of the outputs gate g reaches:
+// until the next Narrow or Reset, an assignment schedules only the fanout
+// gates that reach one of them (Flat.Reach). The path enumerator narrows
+// to each path gate before asserting it. Every assertion for a path
+// through g then lies in those cones, which are closed under fanin, so a
+// gate outside them could only ever hold the forward value of its
+// fanins: no backward rule derives anything from such a value and no
+// conflict can arise there. Verdicts, and the values of every gate inside
+// the cones, are therefore those of the unbounded engine. Values outside
+// the cones may be missing, so snapshots taken under a bound are only
+// meaningful for walks that stay inside it.
+func (e *Engine) Narrow(g circuit.GateID) { e.live = e.f.Reach[g] }
 
 // Stats returns the number of explicit+implied assignments and the number
 // of implied assignments alone, since engine creation.
@@ -162,10 +184,7 @@ func (e *Engine) set(g circuit.GateID, v Value) bool {
 	e.trail = append(e.trail, g)
 	e.nAssign++
 	e.enqueue(g)
-	f := e.f
-	for _, to := range f.Fanout[f.FanoutOff[g]:f.FanoutOff[g+1]] {
-		e.enqueue(to)
-	}
+	e.enqueueFanout(g)
 	return true
 }
 
@@ -179,9 +198,17 @@ func (e *Engine) setSelf(g circuit.GateID, v Value) {
 	e.trail = append(e.trail, g)
 	e.nAssign++
 	e.nImply++
+	e.enqueueFanout(g)
+}
+
+// enqueueFanout schedules the fanout destinations of g that lie inside
+// the Narrow bound.
+func (e *Engine) enqueueFanout(g circuit.GateID) {
 	f := e.f
 	for _, to := range f.Fanout[f.FanoutOff[g]:f.FanoutOff[g+1]] {
-		e.enqueue(to)
+		if f.Reach[to]&e.live != 0 {
+			e.enqueue(to)
+		}
 	}
 }
 

@@ -329,6 +329,12 @@ type Server struct {
 	shed         atomic.Int64
 	draining     atomic.Bool
 
+	// unfinished counts heavy-lane jobs from their accepted queue send to
+	// their terminal state. A send can hand a job straight to a waiting
+	// runner, so neither the queue length nor running sees it in between;
+	// Drain waits on this count instead.
+	unfinished atomic.Int64
+
 	telem    *telemetry.Log
 	metrics  *serveMetrics
 	follower *followerState
@@ -472,11 +478,13 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	// burned ID so the event log stays unambiguous.
 	s.metrics.jobsSubmitted.Inc()
 	s.emit("job.submitted", j.ID, j.tier.String(), nil)
+	s.unfinished.Add(1)
 	select {
 	case s.queue <- j:
 		s.mu.Unlock()
 		return j, nil
 	default:
+		s.unfinished.Add(-1)
 		delete(s.jobs, j.ID)
 		s.mu.Unlock()
 		s.shed.Add(1)
@@ -596,6 +604,7 @@ func (s *Server) finishJob(j *Job, ans *Answer, err error, start time.Time) {
 		})
 	}
 	j.finish(ans, err)
+	s.unfinished.Add(-1)
 }
 
 // Health is the service's self-report. The original fields are stable;
@@ -651,13 +660,17 @@ func (s *Server) Health() Health {
 // typed with ErrShutdown. timeout <= 0 degenerates to Close.
 func (s *Server) Drain(timeout time.Duration) {
 	// Only the draining flag stops intake here; Close below still takes
-	// its full path (cancel + wait) because closed is not yet set.
+	// its full path (cancel + wait) because closed is not yet set. Submit
+	// checks the flag and counts its job under s.mu, so once the flag is
+	// set under it every accepted job is already counted in unfinished.
+	s.mu.Lock()
 	s.draining.Store(true)
+	s.mu.Unlock()
 	s.emit("drain.begin", "", timeout.String(), nil)
 
 	deadline := faultinject.Now(faultinject.PointClock).Add(timeout)
 	for timeout > 0 && time.Now().Before(deadline) {
-		if len(s.queue) == 0 && s.running.Load() == 0 && s.coneInflight.Load() == 0 {
+		if s.unfinished.Load() == 0 && s.coneInflight.Load() == 0 {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -694,6 +707,7 @@ func (s *Server) Close() {
 			s.metrics.jobsCompleted.With("failed").Add(1)
 			s.emit("job.failed", j.ID, ErrShutdown.Error(), nil)
 			j.finish(nil, ErrShutdown)
+			s.unfinished.Add(-1)
 		default:
 			s.emit("server.closed", "", "", nil)
 			return

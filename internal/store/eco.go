@@ -55,7 +55,8 @@ type Edit struct {
 // each of k distinct output cones — the ECO workload generator of the
 // equivalence suite. Edits are described against original gate IDs; the
 // returned circuit is rebuilt with the same gate names (new buffers
-// aside), so it is a realistic revision, not a relabeling.
+// aside), so it is a realistic revision, not a relabeling. Revisions
+// chain: the result can be edited again.
 func MutateKCones(c *circuit.Circuit, k int, seed int64) (*circuit.Circuit, []Edit, error) {
 	outputs := c.Outputs()
 	if len(outputs) == 0 {
@@ -167,7 +168,18 @@ func applyEdits(c *circuit.Circuit, edits []Edit) (*circuit.Circuit, error) {
 	}
 	b := circuit.NewBuilder(c.Name() + "_eco")
 	gmap := make([]circuit.GateID, c.NumGates())
+	// Inserted buffers take the lowest free eco_b<k> names, so editing a
+	// revision that already holds eco_b0 does not clash with it.
 	bufs := 0
+	bufName := func() string {
+		for {
+			name := fmt.Sprintf("eco_b%d", bufs)
+			bufs++
+			if _, taken := c.GateByName(name); !taken {
+				return name
+			}
+		}
+	}
 	for g := circuit.GateID(0); int(g) < c.NumGates(); g++ {
 		gate := c.Gate(g)
 		switch gate.Type {
@@ -186,8 +198,7 @@ func applyEdits(c *circuit.Circuit, edits []Edit) (*circuit.Circuit, error) {
 				case EditGateSwap:
 					typ = dualType(typ)
 				case EditBufferInsert:
-					fanin[e.Pin] = b.Gate(circuit.Buf, fmt.Sprintf("eco_b%d", bufs), fanin[e.Pin])
-					bufs++
+					fanin[e.Pin] = b.Gate(circuit.Buf, bufName(), fanin[e.Pin])
 				case EditPinSwap:
 					fanin[e.Pin], fanin[e.Pin2] = fanin[e.Pin2], fanin[e.Pin]
 				}

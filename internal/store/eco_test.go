@@ -50,6 +50,31 @@ func TestECOEquivalence(t *testing.T) {
 	}
 }
 
+// TestECOChainedRevisions edits each revision again, 20 times over, two
+// cones per step. Buffers inserted by earlier steps keep their names, so
+// later steps must pick free ones; every revision's store answer must
+// equal a cold run on a fresh store.
+func TestECOChainedRevisions(t *testing.T) {
+	cur := gen.ALU(4, gen.XorNAND)
+	opt := Options{Heuristic: core.Heuristic1, Workers: 1}
+	s := openStore(t)
+	if _, err := IdentifyThrough(s, cur, opt); err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		next, _, err := MutateKCones(cur, 2, seed)
+		if err != nil {
+			t.Fatalf("revision %d: %v", seed, err)
+		}
+		warm, err := IdentifyThrough(s, next, opt)
+		if err != nil {
+			t.Fatalf("revision %d: %v", seed, err)
+		}
+		assertSameCounters(t, reference(t, next, opt), warm)
+		cur = next
+	}
+}
+
 // threeBlocks builds a circuit of three structurally independent
 // 2-output blocks (6 cones, no shared logic between blocks), so an edit
 // in one block cannot move any other cone's projected sort — the
