@@ -70,7 +70,10 @@ metrics-smoke:
 # edits as deltas that re-enumerate only the changed cones, survive a
 # process restart, and degrade corrupt/unreadable entries to correct
 # recomputation — through the direct, serving and fleet paths alike.
+# The store serves its fresh cones from one output-restricted walk, so
+# that walk is pinned first to the per-cone walks it replaces.
 eco-smoke:
+	$(GO) test -race -count=1 ./internal/core -run 'TestEnumerateCones'
 	$(GO) test -race -count=1 ./internal/store \
 		-run 'TestECO|TestStoreSurvivesRestart|TestStoreMatchesWholeCircuitRun'
 	$(GO) test -race -count=1 ./internal/serve -run 'TestServeStore|TestServeNoStore'

@@ -39,7 +39,7 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 		inputLine = make(map[string]int)
 	)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(nil, 16<<20) // grows only when a line needs it
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -416,6 +417,31 @@ y = AND(g1, g2)
 		if out[0] != want {
 			t.Errorf("v=%d: got %v want %v", v, out[0], want)
 		}
+	}
+}
+
+// The scanner buffer starts small and grows on demand: a gate line
+// longer than 64 KiB still parses.
+func TestParseBenchLongLine(t *testing.T) {
+	var src, args strings.Builder
+	const n = 12000
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&src, "INPUT(in%d)\n", i)
+		if i > 0 {
+			args.WriteString(", ")
+		}
+		fmt.Fprintf(&args, "in%d", i)
+	}
+	if args.Len() <= 64<<10 {
+		t.Fatalf("gate line is only %d bytes", args.Len())
+	}
+	fmt.Fprintf(&src, "OUTPUT(y)\ny = AND(%s)\n", args.String())
+	c, err := ParseBench("wide", strings.NewReader(src.String()))
+	if err != nil {
+		t.Fatalf("ParseBench: %v", err)
+	}
+	if got := len(c.Fanin(c.Fanin(c.Outputs()[0])[0])); got != n {
+		t.Fatalf("wide gate has %d inputs, want %d", got, n)
 	}
 }
 

@@ -247,7 +247,21 @@ type walker struct {
 	limit      int64 // serial-mode budget; parallel uses shared.selected
 	stopped    bool
 	prog       *progressShard // live-progress slot; nil when untracked
+
+	// within is the output-bucket mask implication is bounded to on top
+	// of each path gate's own cones: all ones, except in an
+	// output-restricted walk (EnumerateCones), which also sets want and
+	// tally. want[g] marks the gates that reach a requested output; the
+	// walk never leaves them. tally[g] is gate g's share of the walk.
+	within uint64
+	want   []bool
+	tally  []coneTally
 }
+
+// coneTally counts, for one gate g of an output-restricted walk, the
+// extensions into g, the extensions pruned at g and, when g is an
+// output, the selected paths ending at g.
+type coneTally struct{ segments, pruned, selected int64 }
 
 func newWalker(an *analysis.Analysis, cr Criterion, opt *Options, onPath func(paths.Logical)) *walker {
 	c := an.Circuit()
@@ -258,6 +272,7 @@ func newWalker(an *analysis.Analysis, cr Criterion, opt *Options, onPath func(pa
 		eng:    an.Engine(),
 		onPath: onPath,
 		limit:  opt.Limit,
+		within: ^uint64(0),
 	}
 	if opt.CollectLeadCounts {
 		w.leadCounts = make([]int64, c.NumLeads())
@@ -367,6 +382,9 @@ func (w *walker) record() bool {
 		}
 	}
 	w.selected++
+	if w.tally != nil {
+		w.tally[w.gateBuf[len(w.gateBuf)-1]].selected++
+	}
 	if w.leadCounts != nil {
 		for i := 1; i < len(w.gateBuf); i++ {
 			g := w.gateBuf[i]
@@ -435,6 +453,9 @@ func (w *walker) dfs(g circuit.GateID) bool {
 		if exporting && i > 0 && w.sh.splitOK[fanout[i].To] {
 			continue // handed to the scheduler by export
 		}
+		if w.want != nil && !w.want[fanout[i].To] {
+			continue // reaches no requested output
+		}
 		if !w.extend(fanout[i]) {
 			if w.canceled() {
 				// extend saved fanout[i] itself (or deeper frames saved
@@ -458,7 +479,7 @@ func (w *walker) dfs(g circuit.GateID) bool {
 func (w *walker) export(fanout []circuit.Edge) bool {
 	var ts []task
 	for _, e := range fanout[1:] {
-		if !w.sh.splitOK[e.To] {
+		if !w.sh.splitOK[e.To] || (w.want != nil && !w.want[e.To]) {
 			continue
 		}
 		if ts == nil {
@@ -499,6 +520,9 @@ func (w *walker) extend(e circuit.Edge) bool {
 	}
 	w.segments++
 	next := e.To
+	if w.tally != nil {
+		w.tally[next].segments++
+	}
 	t := w.c.Type(next)
 	val := w.valBuf[len(w.valBuf)-1]
 	nval := val != t.Inverting()
@@ -508,7 +532,7 @@ func (w *walker) extend(e circuit.Edge) bool {
 
 	// Every path through next ends at an output next reaches, so
 	// implication need not leave those outputs' cones (logic.Engine.Narrow).
-	w.eng.Narrow(next)
+	w.eng.Narrow(next, w.within)
 	mark := w.eng.Mark()
 	ok := w.eng.Assign(next, nval)
 	if ok {
@@ -522,6 +546,9 @@ func (w *walker) extend(e circuit.Edge) bool {
 	}
 	if !ok {
 		w.pruned++
+		if w.tally != nil {
+			w.tally[next].pruned++
+		}
 		w.eng.BacktrackTo(mark)
 		if w.opt.onPrune != nil {
 			w.gateBuf = append(w.gateBuf, next)
@@ -575,7 +602,7 @@ func (w *walker) walkRejected(g circuit.GateID) bool {
 func (w *walker) run(pi circuit.GateID, x bool) bool {
 	mark := w.eng.Mark()
 	defer w.eng.BacktrackTo(mark)
-	w.eng.Narrow(pi)
+	w.eng.Narrow(pi, w.within)
 	// (π1): v sets PI(P) to x.
 	if !w.eng.Assign(pi, x) {
 		return true
@@ -642,27 +669,14 @@ func (w *walker) runTaskGuarded(t task, we *workerErrors) {
 // worker panics are reported through Result.Status rather than the error
 // return, which is reserved for invalid inputs.
 func Enumerate(c *circuit.Circuit, cr Criterion, opt Options) (*Result, error) {
-	if cr == SigmaPi {
-		if opt.Sort == nil {
-			return nil, fmt.Errorf("core: SigmaPi enumeration requires an input sort")
-		}
-		if err := opt.Sort.Validate(c); err != nil {
-			return nil, fmt.Errorf("core: %v", err)
-		}
+	if err := checkSort(c, cr, opt.Sort); err != nil {
+		return nil, err
 	}
-	ctx := opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opt.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.Deadline)
-		defer cancel()
-	}
+	ctx, cancel := runContext(opt)
+	defer cancel()
 
 	start := time.Now()
 	an := analysis.For(c)
-	ct := an.Counts()
 	res := &Result{
 		Criterion: cr,
 		Total:     an.CopyLogical(),
@@ -684,11 +698,7 @@ func Enumerate(c *circuit.Circuit, cr Criterion, opt Options) (*Result, error) {
 		baseline = opt.Checkpoint.Counters
 		tasks = opt.Checkpoint.toTasks()
 	} else {
-		for _, pi := range c.Inputs() {
-			tasks = append(tasks,
-				task{isRoot: true, pi: pi, x: false},
-				task{isRoot: true, pi: pi, x: true})
-		}
+		tasks = rootTasks(c, nil)
 	}
 	addBaseline := func() {
 		res.Selected += baseline.Selected
@@ -729,6 +739,160 @@ func Enumerate(c *circuit.Circuit, cr Criterion, opt Options) (*Result, error) {
 		return res, nil
 	}
 
+	finishInterrupted := func(fr *frontier) {
+		res.Status, res.Err = interruption(ctx)
+		res.Checkpoint = buildCheckpoint(c, cr, ckptSort, res.counters(), fr.tasks)
+	}
+
+	// Immediate cancellation: nothing walked, the whole work list is the
+	// checkpoint. Checked synchronously so an already-expired context
+	// returns deterministically without spinning up workers.
+	if ctx.Err() != nil {
+		addBaseline()
+		if opt.CollectLeadCounts && res.LeadCounts == nil {
+			res.LeadCounts = make([]int64, c.NumLeads())
+		}
+		finishInterrupted(&frontier{tasks: tasks})
+		res.Duration = time.Since(start)
+		finishProgress()
+		return res, nil
+	}
+
+	p := walkTasks(ctx, an, cr, &opt, tasks, baseline.Selected, nil)
+	addBaseline()
+	if opt.CollectLeadCounts && res.LeadCounts == nil {
+		res.LeadCounts = make([]int64, c.NumLeads())
+	}
+	for _, w := range p.ws {
+		res.add(w)
+	}
+
+	switch {
+	case len(p.we.errs) > 0:
+		res.degrade(p.we.errs)
+	case p.limitStopped:
+		res.Status = StatusTruncated
+	case p.canceled && len(p.fr.tasks) > 0:
+		finishInterrupted(&p.fr)
+	default:
+		// Either no interruption, or cancellation fired after the last
+		// branch was already walked — the counters are complete.
+		res.complete()
+	}
+	res.Duration = time.Since(start)
+	finishProgress()
+	return res, nil
+}
+
+// checkSort rejects a SigmaPi run without a valid input sort for c.
+func checkSort(c *circuit.Circuit, cr Criterion, s *circuit.InputSort) error {
+	if cr != SigmaPi {
+		return nil
+	}
+	if s == nil {
+		return fmt.Errorf("core: SigmaPi enumeration requires an input sort")
+	}
+	if err := s.Validate(c); err != nil {
+		return fmt.Errorf("core: %v", err)
+	}
+	return nil
+}
+
+// runContext is the run's context: opt.Context (or Background) bounded
+// by opt.Deadline when one is set.
+func runContext(opt Options) (context.Context, context.CancelFunc) {
+	ctx := opt.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if opt.Deadline > 0 {
+		return context.WithTimeout(ctx, opt.Deadline)
+	}
+	return ctx, func() {}
+}
+
+// rootTasks covers every (PI, transition) pair of c, skipping the PIs
+// keep rejects (nil keeps all).
+func rootTasks(c *circuit.Circuit, keep []bool) []task {
+	var tasks []task
+	for _, pi := range c.Inputs() {
+		if keep == nil || keep[pi] {
+			tasks = append(tasks,
+				task{isRoot: true, pi: pi, x: false},
+				task{isRoot: true, pi: pi, x: true})
+		}
+	}
+	return tasks
+}
+
+// interruption classifies a stopped run. The context's timer may still
+// be starved when the walkers stop via the direct deadline poll, so a
+// nil or canceled ctx.Err() with the deadline in the past still
+// classifies as a deadline stop.
+func interruption(ctx context.Context) (Status, error) {
+	deadline, hasDeadline := ctx.Deadline()
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) ||
+		(hasDeadline && !time.Now().Before(deadline)) {
+		return StatusDeadline, ErrDeadline
+	}
+	return StatusCanceled, ErrCanceled
+}
+
+// add folds one walker's counters into the result.
+func (r *Result) add(w *walker) {
+	r.Selected += w.selected
+	r.Segments += w.segments
+	r.Pruned += w.pruned
+	r.SATRejects += w.satRejects
+	if r.LeadCounts != nil {
+		for i, v := range w.leadCounts {
+			r.LeadCounts[i] += v
+		}
+	}
+}
+
+// complete marks the result exact and derives RD.
+func (r *Result) complete() {
+	r.Status = StatusComplete
+	r.Complete = true
+	r.RD = new(big.Int).Sub(r.Total, big.NewInt(r.Selected))
+}
+
+// degrade marks a run in which walkers panicked. A crashed subtree is
+// partially counted; no checkpoint can make the counters exact again,
+// so the surviving workers' results are reported and RD stays unknown.
+func (r *Result) degrade(errs []*WorkerError) {
+	r.Status = StatusDegraded
+	r.WorkerErrors = errs
+	joined := make([]error, len(errs))
+	for i, e := range errs {
+		joined[i] = e
+	}
+	r.Err = errors.Join(joined...)
+}
+
+// pass is one work list run to its end by walkTasks.
+type pass struct {
+	// ws holds the walkers, whose counters the caller folds.
+	ws []*walker
+	// fr is the untaken frontier of a canceled run.
+	fr frontier
+	we workerErrors
+	// limitStopped reports that the path budget ran out; canceled that
+	// the run's cancellation flag was set.
+	limitStopped, canceled bool
+}
+
+// walkTasks runs tasks on one walker, or on opt.Workers walkers balanced
+// by work stealing, until the list is exhausted, the path budget runs
+// out or ctx fires. prep, when non-nil, configures every walker before
+// it starts. The walkers' engines are back on the analysis free-list
+// when it returns.
+func walkTasks(ctx context.Context, an *analysis.Analysis, cr Criterion, opt *Options, tasks []task, baseSelected int64, prep func(*walker)) *pass {
+	c := an.Circuit()
+	p := &pass{}
+	fr, we := &p.fr, &p.we
+
 	// Cancellation: a watcher flips one atomic flag that walkers poll at
 	// branch-extension granularity (the same cost as the work-stealing
 	// stop check).
@@ -744,36 +908,19 @@ func Enumerate(c *circuit.Circuit, cr Criterion, opt Options) (*Result, error) {
 		}()
 		defer close(watchDone)
 	}
-
-	// The context's timer may still be starved when the walkers stop via
-	// the direct deadline poll, so a nil/canceled ctx.Err() with the
-	// deadline in the past still classifies as a deadline stop.
 	deadline, hasDeadline := ctx.Deadline()
-	finishInterrupted := func(fr *frontier) {
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) ||
-			(hasDeadline && !time.Now().Before(deadline)) {
-			res.Status = StatusDeadline
-			res.Err = ErrDeadline
-		} else {
-			res.Status = StatusCanceled
-			res.Err = ErrCanceled
+	newW := func(onPath func(paths.Logical)) *walker {
+		w := newWalker(an, cr, opt, onPath)
+		w.cancel = &cancelFlag
+		w.ctx = ctx
+		if hasDeadline {
+			w.deadline = deadline
 		}
-		res.Checkpoint = buildCheckpoint(c, cr, ckptSort, res.counters(), fr.tasks)
-	}
-
-	// Immediate cancellation: nothing walked, the whole work list is the
-	// checkpoint. Checked synchronously so an already-expired context
-	// returns deterministically without spinning up workers.
-	if ctx.Err() != nil {
-		addBaseline()
-		if opt.CollectLeadCounts && res.LeadCounts == nil {
-			res.LeadCounts = make([]int64, c.NumLeads())
+		w.fr = fr
+		if prep != nil {
+			prep(w)
 		}
-		fr := &frontier{tasks: tasks}
-		finishInterrupted(fr)
-		res.Duration = time.Since(start)
-		finishProgress()
-		return res, nil
+		return w
 	}
 
 	workers := opt.Workers
@@ -782,22 +929,12 @@ func Enumerate(c *circuit.Circuit, cr Criterion, opt Options) (*Result, error) {
 		workers = 1
 	}
 
-	fr := &frontier{}
-	we := &workerErrors{}
-	var ws []*walker
-	limitStopped := false
 	if workers == 1 {
-		w := newWalker(an, cr, &opt, opt.OnPath)
-		w.cancel = &cancelFlag
-		w.ctx = ctx
-		if hasDeadline {
-			w.deadline = deadline
-		}
-		w.fr = fr
+		w := newW(opt.OnPath)
 		if opt.Limit > 0 {
-			w.limit = opt.Limit - baseline.Selected
+			w.limit = opt.Limit - baseSelected
 		}
-		ws = append(ws, w)
+		p.ws = append(p.ws, w)
 		for i := range tasks {
 			if cancelFlag.Load() {
 				// Un-walked tasks go to the frontier wholesale.
@@ -809,7 +946,7 @@ func Enumerate(c *circuit.Circuit, cr Criterion, opt Options) (*Result, error) {
 			}
 			w.runTaskGuarded(tasks[i], we)
 		}
-		limitStopped = w.stopped
+		p.limitStopped = w.stopped
 	} else {
 		onPath := opt.OnPath
 		if onPath != nil {
@@ -826,25 +963,20 @@ func Enumerate(c *circuit.Circuit, cr Criterion, opt Options) (*Result, error) {
 			splitOK: make([]bool, c.NumGates()),
 			limit:   opt.Limit,
 		}
-		sh.selected.Store(baseline.Selected)
+		sh.selected.Store(baseSelected)
+		ct := an.Counts()
 		minSplit := big.NewInt(minSplitSuffixes)
 		for g := circuit.GateID(0); int(g) < c.NumGates(); g++ {
 			sh.splitOK[g] = ct.Down(g).Cmp(minSplit) >= 0
 		}
 		sh.sched.put(tasks...)
 		var wg sync.WaitGroup
-		ws = make([]*walker, workers)
-		for i := range ws {
-			w := newWalker(an, cr, &opt, onPath)
+		p.ws = make([]*walker, workers)
+		for i := range p.ws {
+			w := newW(onPath)
 			w.sh = sh
 			w.wid = i
-			w.cancel = &cancelFlag
-			w.ctx = ctx
-			if hasDeadline {
-				w.deadline = deadline
-			}
-			w.fr = fr
-			ws[i] = w
+			p.ws[i] = w
 			wg.Add(1)
 			go func(w *walker) {
 				defer wg.Done()
@@ -865,53 +997,14 @@ func Enumerate(c *circuit.Circuit, cr Criterion, opt Options) (*Result, error) {
 			}(w)
 		}
 		wg.Wait()
-		limitStopped = sh.sched.stop.Load()
+		p.limitStopped = sh.sched.stop.Load()
 	}
-
-	addBaseline()
-	if opt.CollectLeadCounts && res.LeadCounts == nil {
-		res.LeadCounts = make([]int64, c.NumLeads())
-	}
-	for _, w := range ws {
-		res.Selected += w.selected
-		res.Segments += w.segments
-		res.Pruned += w.pruned
-		res.SATRejects += w.satRejects
-		if res.LeadCounts != nil {
-			for i, v := range w.leadCounts {
-				res.LeadCounts[i] += v
-			}
-		}
-		// Engines go back to the free-list for the next run (including
-		// after a worker panic: every assignment is on the trail, so
-		// PutEngine's reset wipes a crashed walk too).
+	p.canceled = cancelFlag.Load()
+	// Engines go back to the free-list for the next run (including after
+	// a worker panic: every assignment is on the trail, so PutEngine's
+	// reset wipes a crashed walk too).
+	for _, w := range p.ws {
 		an.PutEngine(w.eng)
 	}
-
-	switch {
-	case len(we.errs) > 0:
-		// A crashed subtree is partially counted; no checkpoint can make
-		// the counters exact again, so the run degrades: the surviving
-		// workers' results are reported, RD stays unknown.
-		res.Status = StatusDegraded
-		res.WorkerErrors = we.errs
-		joined := make([]error, len(we.errs))
-		for i, e := range we.errs {
-			joined[i] = e
-		}
-		res.Err = errors.Join(joined...)
-	case limitStopped:
-		res.Status = StatusTruncated
-	case cancelFlag.Load() && len(fr.tasks) > 0:
-		finishInterrupted(fr)
-	default:
-		// Either no interruption, or cancellation fired after the last
-		// branch was already walked — the counters are complete.
-		res.Status = StatusComplete
-		res.Complete = true
-		res.RD = new(big.Int).Sub(res.Total, big.NewInt(res.Selected))
-	}
-	res.Duration = time.Since(start)
-	finishProgress()
-	return res, nil
+	return p
 }

@@ -268,7 +268,7 @@ func boundedWalk(t *testing.T, c *circuit.Circuit, rng *rand.Rand, steps int) {
 			fast.Reset()
 			ref.Reset()
 			pi := c.Inputs()[rng.Intn(len(c.Inputs()))]
-			fast.Narrow(pi)
+			fast.Narrow(pi, ^uint64(0))
 			if assign(pi, rng.Intn(2) == 0) {
 				path = append(path, level{g: pi})
 			}
@@ -287,7 +287,7 @@ func boundedWalk(t *testing.T, c *circuit.Circuit, rng *rand.Rand, steps int) {
 			continue
 		}
 		next := fo[rng.Intn(len(fo))].To
-		fast.Narrow(next)
+		fast.Narrow(next, ^uint64(0))
 		lv := level{g: next, fMark: fast.Mark(), rMark: ref.Mark()}
 		ok := assign(next, rng.Intn(2) == 0)
 		for _, side := range c.Fanin(next) {

@@ -130,18 +130,19 @@ func (e *Engine) Reset() {
 	e.live = ^uint64(0)
 }
 
-// Narrow bounds implication to the cones of the outputs gate g reaches:
+// Narrow bounds implication to the cones of the outputs gate g reaches,
+// among the output buckets set in within (all ones for every output):
 // until the next Narrow or Reset, an assignment schedules only the fanout
 // gates that reach one of them (Flat.Reach). The path enumerator narrows
 // to each path gate before asserting it. Every assertion for a path
-// through g then lies in those cones, which are closed under fanin, so a
-// gate outside them could only ever hold the forward value of its
-// fanins: no backward rule derives anything from such a value and no
-// conflict can arise there. Verdicts, and the values of every gate inside
-// the cones, are therefore those of the unbounded engine. Values outside
-// the cones may be missing, so snapshots taken under a bound are only
-// meaningful for walks that stay inside it.
-func (e *Engine) Narrow(g circuit.GateID) { e.live = e.f.Reach[g] }
+// through g to an output in within then lies in those cones, which are
+// closed under fanin, so a gate outside them could only ever hold the
+// forward value of its fanins: no backward rule derives anything from
+// such a value and no conflict can arise there. Verdicts, and the values
+// of every gate inside the cones, are therefore those of the unbounded
+// engine. Values outside the cones may be missing, so snapshots taken
+// under a bound are only meaningful for walks that stay inside it.
+func (e *Engine) Narrow(g circuit.GateID, within uint64) { e.live = e.f.Reach[g] & within }
 
 // Stats returns the number of explicit+implied assignments and the number
 // of implied assignments alone, since engine creation.

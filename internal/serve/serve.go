@@ -191,7 +191,11 @@ type Job struct {
 	// ID is the job's handle, sequential per server ("job-1", ...).
 	ID string
 
+	// circuit is the parsed submission, released when the job finishes
+	// (a served job is kept for lookups, its netlist is not); name
+	// outlives it.
 	circuit   *circuit.Circuit
+	name      string
 	heuristic core.Heuristic
 	tier      Tier
 	timeout   time.Duration
@@ -228,6 +232,7 @@ func (j *Job) finish(a *Answer, err error) {
 		j.state = StateDone
 		j.answer = a
 	}
+	j.circuit = nil
 	if j.done != nil {
 		close(j.done)
 	}
@@ -278,7 +283,7 @@ func (j *Job) Info() Info {
 	in := Info{
 		ID:      j.ID,
 		State:   j.state,
-		Circuit: j.circuit.Name(),
+		Circuit: j.name,
 		Tier:    j.tier.String(),
 		Notes:   append([]string(nil), j.notes...),
 	}
@@ -465,6 +470,7 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	j := &Job{
 		ID:        fmt.Sprintf("job-%d", s.nextID),
 		circuit:   c,
+		name:      c.Name(),
 		heuristic: h,
 		tier:      tier,
 		timeout:   timeout,

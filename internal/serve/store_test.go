@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -207,5 +211,71 @@ func TestServeNoStoreUnchanged(t *testing.T) {
 	}
 	if ans.RD != rep.RD.String() {
 		t.Fatalf("RD %s, want %s", ans.RD, rep.RD.String())
+	}
+}
+
+// A finished job drops its parsed netlist (a server keeps every job for
+// lookups, so a retained circuit per job grows without bound), while
+// the job lookup, the result and the event stream still report the
+// same circuit name and answer.
+func TestServeStoreFinishedJobReleasesCircuit(t *testing.T) {
+	s, _ := newStoreServer(t, Config{StreamInterval: 2 * time.Millisecond})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	j, err := s.Submit(Request{Bench: benchOf(t, gen.ALU(4, gen.XorNAND)), Name: "alu-eco", Heuristic: "heu1", Tier: "fast"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := waitJob(t, j, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.mu.Lock()
+	held := j.circuit != nil
+	j.mu.Unlock()
+	if held {
+		t.Fatal("finished job still holds its parsed circuit")
+	}
+	if want.Circuit != "alu-eco" {
+		t.Fatalf("answer names circuit %q", want.Circuit)
+	}
+
+	h := s.Handler()
+	var info Info
+	if rec := do(h, "GET", "/v1/jobs/"+j.ID, ""); rec.Code != http.StatusOK {
+		t.Fatalf("job lookup: %d %s", rec.Code, rec.Body)
+	} else if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Circuit != want.Circuit || info.State != StateDone {
+		t.Fatalf("job lookup reports %+v", info)
+	}
+	var got Answer
+	if rec := do(h, "GET", "/v1/jobs/"+j.ID+"/result", ""); rec.Code != http.StatusOK {
+		t.Fatalf("result: %d %s", rec.Code, rec.Body)
+	} else if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Circuit != want.Circuit || got.TotalPaths != want.TotalPaths || got.Selected != want.Selected || got.RD != want.RD {
+		t.Fatalf("result %+v, job answered %+v", got, want)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + j.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	frames := readFrames(t, bufio.NewScanner(resp.Body), 10)
+	if len(frames) == 0 || frames[len(frames)-1].event != "done" {
+		t.Fatalf("stream of a finished job: %+v", frames)
+	}
+	var streamed Info
+	if err := json.Unmarshal([]byte(frames[len(frames)-1].data), &streamed); err != nil {
+		t.Fatal(err)
+	}
+	if streamed.Circuit != want.Circuit || streamed.State != StateDone ||
+		streamed.Progress == nil || *streamed.Progress != *info.Progress {
+		t.Fatalf("streamed done frame %+v, job lookup %+v", streamed, info)
 	}
 }

@@ -32,156 +32,181 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 
 	"rdfault/internal/analysis"
 	"rdfault/internal/circuit"
 	"rdfault/internal/core"
 )
 
-// canon is the canonical form of one circuit: a deterministic renaming
-// of its gates that depends only on structure the rewrites preserve.
-// Numbers are assigned by a post-order DFS from the primary outputs in
-// declaration order, visiting fanins in pin order — PI/PO declaration
-// order and fanin pin order are exactly what synth.Relabel keeps, so
-// isomorphic circuits get identical canonical forms. Sharing is
-// preserved exactly (a gate is numbered once, at first visit), which a
-// naive bottom-up tree hash would conflate: two POs reading one shared
-// gate and two POs reading duplicated copies have different fanout
-// stems and different Selected counts, and must hash differently.
-type canon struct {
-	// num[g] is gate g's canonical number, -1 for gates outside the form
-	// (collapsed buffers).
+// canonizer computes canonical forms of one circuit: a deterministic
+// renaming of the gates some outputs read that depends only on structure
+// the rewrites preserve. Numbers are assigned by a post-order DFS from
+// the outputs in the order given, visiting fanins in pin order — PI/PO
+// declaration order and fanin pin order are exactly what synth.Relabel
+// keeps, so isomorphic circuits get identical canonical forms. Sharing
+// is preserved exactly (a gate is numbered once, at first visit), which
+// a naive bottom-up tree hash would conflate: two POs reading one shared
+// gate and two POs reading duplicated copies have different fanout stems
+// and different Selected counts, and must hash differently. One
+// canonizer computes a form per call: the whole circuit's for FuncHash
+// and ShapeHash, or one output cone's, in place, for its key.
+type canonizer struct {
+	c *circuit.Circuit
+	// memo resolves buffer chains to their first non-buffer ancestor when
+	// buffers are collapsed (the FuncHash view); nil keeps buffers as
+	// ordinary single-input gates (the ShapeHash and cone-key view).
+	memo []circuit.GateID
+	// num[g] is gate g's canonical number in the current form, -1 for
+	// gates outside it (collapsed buffers included).
 	num []int
 	// order[i] is the gate with canonical number i.
 	order []circuit.GateID
-	// bytes is the serialized canonical netlist.
+	// bytes is the serialized current form.
 	bytes []byte
+	stack []canonFrame
 }
 
-// canonicalize computes c's canonical form. With collapse set, buffer
-// chains are resolved through to their first non-buffer ancestor and
-// the buffers themselves are dropped from the form (the FuncHash view);
-// without it buffers are ordinary single-input gates (the ShapeHash
-// view).
-func canonicalize(c *circuit.Circuit, collapse bool) *canon {
+type canonFrame struct {
+	g   circuit.GateID
+	pin int
+}
+
+func newCanonizer(c *circuit.Circuit, collapse bool) *canonizer {
 	n := c.NumGates()
-	cn := &canon{num: make([]int, n)}
-	for i := range cn.num {
-		cn.num[i] = -1
+	z := &canonizer{c: c, num: make([]int, n)}
+	for i := range z.num {
+		z.num[i] = -1
 	}
-
-	resolve := func(g circuit.GateID) circuit.GateID { return g }
 	if collapse {
-		memo := make([]circuit.GateID, n)
-		for i := range memo {
-			memo[i] = circuit.None
-		}
-		resolve = func(g circuit.GateID) circuit.GateID {
-			seen := g
-			for memo[seen] == circuit.None && c.Type(seen) == circuit.Buf {
-				seen = c.Fanin(seen)[0]
-			}
-			if memo[seen] != circuit.None {
-				seen = memo[seen]
-			}
-			// Path-compress the chain we just walked.
-			for v := g; v != seen; v = c.Fanin(v)[0] {
-				if memo[v] != circuit.None {
-					break
-				}
-				memo[v] = seen
-			}
-			memo[seen] = seen
-			return seen
+		z.memo = make([]circuit.GateID, n)
+		for i := range z.memo {
+			z.memo[i] = circuit.None
 		}
 	}
+	return z
+}
 
-	type frame struct {
-		g   circuit.GateID
-		pin int
+// resolve maps g to the gate standing for it in the form.
+func (z *canonizer) resolve(g circuit.GateID) circuit.GateID {
+	if z.memo == nil {
+		return g
 	}
-	var stack []frame
-	visit := func(root circuit.GateID) {
-		root = resolve(root)
-		if cn.num[root] >= 0 {
-			return
-		}
-		stack = append(stack[:0], frame{root, 0})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			fanin := c.Fanin(f.g)
-			pushed := false
-			for f.pin < len(fanin) {
-				src := resolve(fanin[f.pin])
-				f.pin++
-				if cn.num[src] < 0 {
-					stack = append(stack, frame{src, 0})
-					pushed = true
-					break
-				}
-			}
-			if pushed {
-				continue
-			}
-			if cn.num[f.g] < 0 {
-				cn.num[f.g] = len(cn.order)
-				cn.order = append(cn.order, f.g)
-			}
-			stack = stack[:len(stack)-1]
-		}
+	c, memo := z.c, z.memo
+	seen := g
+	for memo[seen] == circuit.None && c.Type(seen) == circuit.Buf {
+		seen = c.Fanin(seen)[0]
 	}
+	if memo[seen] != circuit.None {
+		seen = memo[seen]
+	}
+	// Path-compress the chain we just walked.
+	for v := g; v != seen; v = c.Fanin(v)[0] {
+		if memo[v] != circuit.None {
+			break
+		}
+		memo[v] = seen
+	}
+	memo[seen] = seen
+	return seen
+}
+
+// number gives g the next canonical number.
+func (z *canonizer) number(g circuit.GateID) {
+	z.num[g] = len(z.order)
+	z.order = append(z.order, g)
+}
+
+// visit numbers the unnumbered logic under root in post-order.
+func (z *canonizer) visit(root circuit.GateID) {
+	root = z.resolve(root)
+	if z.num[root] >= 0 {
+		return
+	}
+	z.stack = append(z.stack[:0], canonFrame{root, 0})
+	for len(z.stack) > 0 {
+		f := &z.stack[len(z.stack)-1]
+		fanin := z.c.Fanin(f.g)
+		pushed := false
+		for f.pin < len(fanin) {
+			src := z.resolve(fanin[f.pin])
+			f.pin++
+			if z.num[src] < 0 {
+				z.stack = append(z.stack, canonFrame{src, 0})
+				pushed = true
+				break
+			}
+		}
+		if pushed {
+			continue
+		}
+		if z.num[f.g] < 0 {
+			z.number(f.g)
+		}
+		z.stack = z.stack[:len(z.stack)-1]
+	}
+}
+
+// form computes the canonical form of the logic the outputs pos read
+// into order and bytes. With inputs set it also numbers, in declaration
+// order, the PIs none of them reads: they still change the PI count.
+func (z *canonizer) form(pos []circuit.GateID, inputs bool) {
+	c := z.c
+	for _, g := range z.order {
+		z.num[g] = -1
+	}
+	z.order = z.order[:0]
 	// Output gates are pure markers; the walk starts at their sources so
 	// the form is independent of output-wrapper naming.
-	for _, po := range c.Outputs() {
-		visit(c.Fanin(po)[0])
+	for _, po := range pos {
+		z.visit(c.Fanin(po)[0])
 	}
-	// Inputs unreachable from any output still exist (they change the
-	// PI count); append them in declaration order.
-	for _, pi := range c.Inputs() {
-		if cn.num[pi] < 0 {
-			cn.num[pi] = len(cn.order)
-			cn.order = append(cn.order, pi)
+	if inputs {
+		for _, pi := range c.Inputs() {
+			if z.num[pi] < 0 {
+				z.number(pi)
+			}
 		}
 	}
 
-	var buf []byte
+	buf := z.bytes[:0]
 	var tmp [binary.MaxVarintLen64]byte
 	putInt := func(v int) {
 		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(v))]...)
 	}
-	for _, g := range cn.order {
+	for _, g := range z.order {
 		buf = append(buf, byte(c.Type(g)))
 		fanin := c.Fanin(g)
 		putInt(len(fanin))
 		for _, f := range fanin {
-			putInt(cn.num[resolve(f)])
+			putInt(z.num[z.resolve(f)])
 		}
 	}
 	buf = append(buf, '|')
-	putInt(len(c.Outputs()))
-	for _, po := range c.Outputs() {
-		putInt(cn.num[resolve(c.Fanin(po)[0])])
+	putInt(len(pos))
+	for _, po := range pos {
+		putInt(z.num[z.resolve(c.Fanin(po)[0])])
 	}
-	cn.bytes = buf
-	return cn
+	z.bytes = buf
+}
+
+// hash is the SHA-256 of c's whole-circuit canonical form.
+func hash(c *circuit.Circuit, collapse bool) string {
+	z := newCanonizer(c, collapse)
+	z.form(c.Outputs(), true)
+	sum := sha256.Sum256(z.bytes)
+	return hex.EncodeToString(sum[:])
 }
 
 // FuncHash is the buffer-collapsed canonical hash: the content address
 // under which a circuit's run entry is stored. Invariant under
 // synth.Relabel and synth.InsertBuffers.
-func FuncHash(c *circuit.Circuit) string {
-	sum := sha256.Sum256(canonicalize(c, true).bytes)
-	return hex.EncodeToString(sum[:])
-}
+func FuncHash(c *circuit.Circuit) string { return hash(c, true) }
 
 // ShapeHash is the buffer-sensitive canonical hash: invariant under
 // synth.Relabel only. A stored run's counters (Segments included) may
 // be served verbatim only to a submission with the same shape.
-func ShapeHash(c *circuit.Circuit) string {
-	sum := sha256.Sum256(canonicalize(c, false).bytes)
-	return hex.EncodeToString(sum[:])
-}
+func ShapeHash(c *circuit.Circuit) string { return hash(c, false) }
 
 // HashFor returns c's FuncHash and ShapeHash, computed at most once per
 // circuit version through the analysis registry (the same compute-once
@@ -211,17 +236,51 @@ func RunKey(funcHash string, h core.Heuristic, cr core.Criterion) string {
 // Identical cones under identical projected sorts collide on purpose:
 // duplicated logic inside one circuit is stored and enumerated once.
 func ConeKey(cone *circuit.Circuit, sort *circuit.InputSort, cr core.Criterion) string {
-	cn := canonicalize(cone, false)
-	h := sha256.New()
-	h.Write(cn.bytes)
-	fmt.Fprintf(h, "|crit:%s", cr.String())
+	return newCanonizer(cone, false).key(cone.Outputs(), true, sort, cr)
+}
+
+// coneKeys returns the ConeKey of every output cone of c, in Outputs()
+// order, without extracting a cone: the canonical DFS from one output
+// numbers exactly the gates c.Cone would copy, in the same order, and
+// the global sort's rows are the rows InputSort.Cone projects.
+func coneKeys(c *circuit.Circuit, sort *circuit.InputSort, cr core.Criterion) []string {
+	z := newCanonizer(c, false)
+	keys := make([]string, len(c.Outputs()))
+	for i, po := range c.Outputs() {
+		keys[i] = z.key([]circuit.GateID{po}, false, sort, cr)
+	}
+	return keys
+}
+
+// key digests the form of the logic the outputs pos read together with
+// the criterion and, in canonical gate order, every sort row that orders
+// at least two pins, rendered "|s<i>:[p0 p1 …]".
+func (z *canonizer) key(pos []circuit.GateID, inputs bool, sort *circuit.InputSort, cr core.Criterion) string {
+	z.form(pos, inputs)
+	buf := append(z.bytes, "|crit:"+cr.String()...)
 	if sort != nil {
-		for i, g := range cn.order {
+		for i, g := range z.order {
 			row := sort.Pos[g]
-			if len(row) >= 2 {
-				fmt.Fprintf(h, "|s%d:%v", i, row)
+			if len(row) < 2 {
+				continue
 			}
+			buf = strconv.AppendInt(append(buf, "|s"...), int64(i), 10)
+			buf = append(buf, ':', '[')
+			for k, p := range row {
+				if k > 0 {
+					buf = append(buf, ' ')
+				}
+				buf = strconv.AppendInt(buf, int64(p), 10)
+			}
+			buf = append(buf, ']')
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	z.bytes = buf
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
+// coneName is the name c.Cone gives the cone of output po.
+func coneName(c *circuit.Circuit, po circuit.GateID) string {
+	return c.Name() + "." + c.Gate(po).Name
 }

@@ -267,3 +267,128 @@ func FuzzECODelta(f *testing.F) {
 		assertSameCounters(t, cold, warm)
 	})
 }
+
+// keyCircuits is the corpus of the in-place cone-key test: the paper
+// example, the ISCAS analogues, and the eco benchmark's random designs,
+// whose 67 and 69 outputs share Reach buckets.
+func keyCircuits() []*circuit.Circuit {
+	cs := []*circuit.Circuit{gen.PaperExample()}
+	for _, n := range gen.ISCAS85Suite() {
+		cs = append(cs, n.C)
+	}
+	return append(cs, rnd55(3), rnd55(4))
+}
+
+func rnd55(seed int64) *circuit.Circuit {
+	return gen.RandomCircuit("rnd55", gen.RandomOptions{Inputs: 40, Gates: 160, Outputs: 55}, seed)
+}
+
+// Cone keys computed in place on the submitted circuit must equal
+// ConeKey on the extracted cone under the projected sort, for every
+// output, criterion and sort flavour, on the corpus and on 20 chained
+// ECO revisions: a key mismatch would orphan every stored cone record.
+func TestECOConeKeysInPlace(t *testing.T) {
+	check := func(c *circuit.Circuit, h core.Heuristic) {
+		t.Helper()
+		cr := core.SigmaPi
+		if h == core.HeuristicFUS {
+			cr = core.FS
+		}
+		sort, err := storeSort(c, h, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := coneKeys(c, sort, cr)
+		for i, po := range c.Outputs() {
+			cone, mapping, err := c.Cone(po)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var proj *circuit.InputSort
+			if sort != nil {
+				p := sort.Cone(mapping)
+				proj = &p
+			}
+			if want := ConeKey(cone, proj, cr); keys[i] != want {
+				t.Fatalf("%s/%v: in-place key of output %d differs from the extracted cone's", c.Name(), h, i)
+			}
+			if coneName(c, po) != cone.Name() {
+				t.Fatalf("cone name %q, extracted cone is %q", coneName(c, po), cone.Name())
+			}
+		}
+	}
+	for _, c := range keyCircuits() {
+		for _, h := range []core.Heuristic{core.HeuristicFUS, core.Heuristic1, core.HeuristicPinOrder} {
+			check(c, h)
+		}
+	}
+	cur := rnd55(3)
+	for seed := int64(1); seed <= 20; seed++ {
+		next, _, err := MutateKCones(cur, 2, seed)
+		if err != nil {
+			t.Fatalf("revision %d: %v", seed, err)
+		}
+		check(next, core.Heuristic1)
+		cur = next
+	}
+}
+
+// Isomorphic cones under identical projected sorts share a key. The
+// first one is walked and the later twins count as reused without a
+// walk; rnd55a has two such pairs.
+func TestECOTwinConesCountAsReused(t *testing.T) {
+	c := rnd55(3)
+	opt := Options{Heuristic: core.Heuristic1, Workers: 2}
+	res, err := IdentifyThrough(openStore(t), c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameCounters(t, reference(t, c, opt), res)
+	if res.Outcome != "delta" || res.FreshCones != 65 || res.ReusedCones != 2 {
+		t.Fatalf("cold run %s %d fresh/%d reused, want delta 65/2", res.Outcome, res.FreshCones, res.ReusedCones)
+	}
+	firstFresh := map[string]bool{}
+	for _, pc := range res.PerCone {
+		if !pc.Reused {
+			firstFresh[pc.Key] = true
+		} else if !firstFresh[pc.Key] {
+			t.Fatalf("cone %s reused before its twin was walked", pc.Name)
+		}
+	}
+}
+
+// Stored cone records are addressed by ConeKey, so its digest input is a
+// format: these keys were written by earlier versions of the store and
+// must still be found.
+func TestECOConeKeyFormatPinned(t *testing.T) {
+	c := gen.ALU(4, gen.XorNAND)
+	po := c.Outputs()[len(c.Outputs())-1]
+	cone, mapping, err := c.Cone(po)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		h    core.Heuristic
+		cr   core.Criterion
+		want string
+	}{
+		{core.HeuristicFUS, core.FS, "a10bae133c6c8278e32b946407bd7898256b80ee4cdba3fe88f0477f1b6ef764"},
+		{core.Heuristic1, core.SigmaPi, "83eab344e6685d83ad976dd16ebb6ba0fe87ef55da2e6cca4ec63de7ac21f6f0"},
+	} {
+		sort, err := storeSort(c, tc.h, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var proj *circuit.InputSort
+		if sort != nil {
+			p := sort.Cone(mapping)
+			proj = &p
+		}
+		if got := ConeKey(cone, proj, tc.cr); got != tc.want {
+			t.Fatalf("%v: ConeKey of %s is %s, stored records use %s", tc.h, cone.Name(), got, tc.want)
+		}
+		if got := coneKeys(c, sort, tc.cr)[len(c.Outputs())-1]; got != tc.want {
+			t.Fatalf("%v: in-place key of %s is %s, stored records use %s", tc.h, cone.Name(), got, tc.want)
+		}
+	}
+}

@@ -19,11 +19,11 @@ type Options struct {
 	// only whole-circuit work left. Heuristic2's sort itself costs two
 	// enumeration passes, so its warm savings cover only the final pass.
 	Heuristic core.Heuristic
-	// Workers is the per-cone enumeration parallelism (0 or 1 = serial).
-	// Counters are worker-count-independent, so results written at one
-	// width are valid hits at any other.
+	// Workers is the parallelism of the sort and the cone walk (0 or 1 =
+	// serial). Counters are worker-count-independent, so results written
+	// at one width are valid hits at any other.
 	Workers int
-	// Context cancels the run between and inside cone enumerations.
+	// Context cancels the run before and inside the cone walk.
 	Context context.Context
 }
 
@@ -63,9 +63,10 @@ type Result struct {
 	ReusedCones int    `json:"reused_cones"`
 	FreshCones  int    `json:"fresh_cones"`
 	// EnumeratedSegments counts the DFS edge extensions this call
-	// actually performed — 0 for a pure hit, the fresh cones' share for
-	// a delta. (Result.Segments, by contrast, always reports the full
-	// merged tally, reused cones included.)
+	// actually performed — 0 for a pure hit, otherwise the one walk over
+	// the fresh cones, where a prefix they share counts once.
+	// (Result.Segments, by contrast, always reports the full merged
+	// per-cone tally, reused cones included.)
 	EnumeratedSegments int64 `json:"enumerated_segments"`
 	// CorruptEntries counts store entries that failed validation and
 	// were recomputed around (each also emits a store.corrupt event).
@@ -114,13 +115,15 @@ func storeSort(c *circuit.Circuit, h core.Heuristic, workers int) (*circuit.Inpu
 //     pure hit — the stored counters are served with no sort
 //     computation and no enumeration at all (isomorphism implies the
 //     deterministic sort transports, so shape equality is sufficient).
-//  2. Otherwise the global sort is computed, projected per cone, and
-//     each cone is either served from its cone entry (same shape, same
-//     projected sort, same criterion — typically populated by the
-//     ancestor revision's run) or re-identified and written back. This
-//     is the incremental ECO path: a k-of-n-cone edit re-enumerates
-//     only the changed cones, and the merged counters are bit-identical
-//     to a cold run of the same cone-granular pipeline.
+//  2. Otherwise the global sort is computed and each cone is either
+//     served from its cone entry (same shape, same projected sort, same
+//     criterion — typically populated by the ancestor revision's run)
+//     or re-identified and written back. The cones to re-identify are
+//     walked together, in one core.EnumerateCones walk of c whose
+//     per-cone counters equal walking each cone alone. This is the
+//     incremental ECO path: a k-of-n-cone edit re-enumerates only the
+//     changed cones, and the merged counters are bit-identical to a
+//     cold run of the same cone-granular pipeline.
 //
 // Corrupt entries (checksum, version or identity failures) are typed
 // *CorruptError at the store layer; here they degrade to recomputation
@@ -194,40 +197,38 @@ func IdentifyThrough(s *Store, c *circuit.Circuit, opt Options) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
+	if ctx != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, fmt.Errorf("%w: store identification interrupted", classifyCtx(cerr))
+		}
+	}
 
-	res.Total, res.RD = new(big.Int), new(big.Int)
-	var coneKeys []string
-	for _, po := range c.Outputs() {
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, fmt.Errorf("%w: store identification interrupted", classifyCtx(cerr))
-			}
+	// Each distinct cone key is looked up once. The keys the store cannot
+	// serve are walked together, in one walk of c restricted to their
+	// outputs. A key repeated within c (isomorphic cones under identical
+	// projected sorts) takes its first cone's counters and counts as
+	// reused: the twin is neither looked up again nor walked.
+	type coneCounters struct {
+		rec       *ConeRecord
+		total, rd *big.Int
+		walked    bool
+	}
+	outputs := c.Outputs()
+	keys := coneKeys(c, sort, cr)
+	got := make([]coneCounters, len(outputs)) // at each key's first cone
+	first := make(map[string]int, len(outputs))
+	var fresh []circuit.GateID
+	var freshAt []int
+	for i, key := range keys {
+		if _, dup := first[key]; dup {
+			continue
 		}
-		cone, mapping, cerr := c.Cone(po)
-		if cerr != nil {
-			return nil, cerr
-		}
-		var proj *circuit.InputSort
-		if sort != nil {
-			p := sort.Cone(mapping)
-			proj = &p
-		}
-		key := ConeKey(cone, proj, cr)
-		coneKeys = append(coneKeys, key)
-		out := ConeOutcome{Name: cone.Name(), Key: key}
-
+		first[key] = i
 		rec, gerr := s.GetCone(key)
 		if gerr == nil {
 			total, rd, perr := parseCounters(rec.TotalPaths, rec.RD)
 			if perr == nil {
-				res.Total.Add(res.Total, total)
-				res.RD.Add(res.RD, rd)
-				res.Selected += rec.Selected
-				res.Segments += rec.Segments
-				res.Pruned += rec.Pruned
-				res.ReusedCones++
-				out.Reused, out.Selected, out.Segments = true, rec.Selected, rec.Segments
-				res.PerCone = append(res.PerCone, out)
+				got[i] = coneCounters{rec: rec, total: total, rd: rd}
 				continue
 			}
 			s.corrupt.Add(1)
@@ -236,46 +237,70 @@ func IdentifyThrough(s *Store, c *circuit.Circuit, opt Options) (*Result, error)
 		} else if !errors.Is(gerr, ErrMiss) {
 			res.CorruptEntries++
 		}
+		fresh = append(fresh, outputs[i])
+		freshAt = append(freshAt, i)
+	}
 
-		er, eerr := core.Enumerate(cone, cr, core.Options{
-			Sort:    proj,
+	if len(fresh) > 0 {
+		cones, walk, err := core.EnumerateCones(c, cr, fresh, core.Options{
+			Sort:    sort,
 			Workers: opt.Workers,
 			Context: ctx,
 		})
-		if eerr != nil {
-			return nil, eerr
+		if err != nil {
+			return nil, err
 		}
-		if er.Status != core.StatusComplete {
-			cause := er.Err
+		if walk.Status != core.StatusComplete {
+			cause := walk.Err
 			if cause == nil {
-				cause = fmt.Errorf("core: enumeration ended %v", er.Status)
+				cause = fmt.Errorf("core: enumeration ended %v", walk.Status)
 			}
-			return nil, fmt.Errorf("store: cone %s incomplete: %w", cone.Name(), cause)
+			return nil, fmt.Errorf("store: cone walk of %s incomplete: %w", c.Name(), cause)
 		}
-		res.Total.Add(res.Total, er.Total)
-		res.RD.Add(res.RD, er.RD)
-		res.Selected += er.Selected
-		res.Segments += er.Segments
-		res.Pruned += er.Pruned
-		res.FreshCones++
-		res.EnumeratedSegments += er.Segments
-		out.Selected, out.Segments = er.Selected, er.Segments
-		res.PerCone = append(res.PerCone, out)
-		// Best-effort persistence: a lost write costs the next run time,
-		// not correctness.
-		if perr := s.PutCone(key, &ConeRecord{
-			Cone:       cone.Name(),
-			TotalPaths: er.Total.String(),
-			Selected:   er.Selected,
-			RD:         er.RD.String(),
-			Segments:   er.Segments,
-			Pruned:     er.Pruned,
-		}); perr != nil {
-			s.emit("store.write-error", perr.Error(), nil)
+		res.EnumeratedSegments = walk.Segments
+		for k, i := range freshAt {
+			er := cones[k]
+			rec := &ConeRecord{
+				Cone:       coneName(c, outputs[i]),
+				TotalPaths: er.Total.String(),
+				Selected:   er.Selected,
+				RD:         er.RD.String(),
+				Segments:   er.Segments,
+				Pruned:     er.Pruned,
+			}
+			// Best-effort persistence: a lost write costs the next run
+			// time, not correctness.
+			if perr := s.PutCone(keys[i], rec); perr != nil {
+				s.emit("store.write-error", perr.Error(), nil)
+			}
+			got[i] = coneCounters{rec: rec, total: er.Total, rd: er.RD, walked: true}
 		}
 	}
 
-	res.Cones = len(coneKeys)
+	res.Total, res.RD = new(big.Int), new(big.Int)
+	for i, key := range keys {
+		g := got[first[key]]
+		res.Total.Add(res.Total, g.total)
+		res.RD.Add(res.RD, g.rd)
+		res.Selected += g.rec.Selected
+		res.Segments += g.rec.Segments
+		res.Pruned += g.rec.Pruned
+		out := ConeOutcome{
+			Name:     coneName(c, outputs[i]),
+			Key:      key,
+			Reused:   first[key] != i || !g.walked,
+			Selected: g.rec.Selected,
+			Segments: g.rec.Segments,
+		}
+		if out.Reused {
+			res.ReusedCones++
+		} else {
+			res.FreshCones++
+		}
+		res.PerCone = append(res.PerCone, out)
+	}
+
+	res.Cones = len(keys)
 	res.TotalStr, res.RDStr = res.Total.String(), res.RD.String()
 	switch {
 	case res.FreshCones == 0:
@@ -301,7 +326,7 @@ func IdentifyThrough(s *Store, c *circuit.Circuit, opt Options) (*Result, error)
 		Segments:       res.Segments,
 		Pruned:         res.Pruned,
 		Cones:          res.Cones,
-		ConeKeys:       coneKeys,
+		ConeKeys:       keys,
 	}); perr != nil {
 		s.emit("store.write-error", perr.Error(), nil)
 	}

@@ -35,6 +35,18 @@ func assertSameCounters(t *testing.T, want, got *Result) {
 			want.Total, want.Selected, want.RD, want.Segments, want.Pruned,
 			got.Total, got.Selected, got.RD, got.Segments, got.Pruned)
 	}
+	if want.PerCone == nil || got.PerCone == nil {
+		return // a pure hit reports no per-cone provenance
+	}
+	if len(want.PerCone) != len(got.PerCone) {
+		t.Fatalf("%d cones, want %d", len(got.PerCone), len(want.PerCone))
+	}
+	for i, w := range want.PerCone {
+		g := got.PerCone[i]
+		if w.Name != g.Name || w.Key != g.Key || w.Selected != g.Selected || w.Segments != g.Segments {
+			t.Fatalf("cone %d diverges: want %+v, got %+v", i, w, g)
+		}
+	}
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -176,12 +188,48 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	assertSameCounters(t, cold, warm)
 }
 
-// reference computes the trusted cold counters on a throwaway store.
+// reference computes the trusted cold counters without the store's
+// one-walk path: every output cone extracted, the global sort projected
+// onto it and walked on its own by core.Enumerate, then summed.
 func reference(t *testing.T, c *circuit.Circuit, opt Options) *Result {
 	t.Helper()
-	res, err := IdentifyThrough(openStore(t), c, opt)
+	cr := core.SigmaPi
+	if opt.Heuristic == core.HeuristicFUS {
+		cr = core.FS
+	}
+	sort, err := storeSort(c, opt.Heuristic, opt.Workers)
 	if err != nil {
 		t.Fatal(err)
+	}
+	res := &Result{Total: new(big.Int), RD: new(big.Int), Cones: len(c.Outputs())}
+	for _, po := range c.Outputs() {
+		cone, mapping, err := c.Cone(po)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var proj *circuit.InputSort
+		if sort != nil {
+			p := sort.Cone(mapping)
+			proj = &p
+		}
+		er, err := core.Enumerate(cone, cr, core.Options{Sort: proj, Workers: opt.Workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if er.Status != core.StatusComplete {
+			t.Fatalf("cone %s ended %v", cone.Name(), er.Status)
+		}
+		res.Total.Add(res.Total, er.Total)
+		res.RD.Add(res.RD, er.RD)
+		res.Selected += er.Selected
+		res.Segments += er.Segments
+		res.Pruned += er.Pruned
+		res.PerCone = append(res.PerCone, ConeOutcome{
+			Name:     cone.Name(),
+			Key:      ConeKey(cone, proj, cr),
+			Selected: er.Selected,
+			Segments: er.Segments,
+		})
 	}
 	return res
 }
