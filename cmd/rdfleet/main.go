@@ -1,7 +1,8 @@
 // Command rdfleet distributes RD identification across a pool of
-// rdserved workers. The circuit is sharded by output cone, the input
-// sort is computed once globally and projected onto every cone, and the
-// per-cone answers are merged in deterministic cone order — so the
+// rdserved workers. The input sort is computed once globally, the
+// output cones are dealt into one group per worker, each worker walks
+// its group under the global sort, and the per-cone answers are merged
+// in deterministic cone order — so the
 // merged Selected/RD/Total counters are bit-identical to a
 // single-process rdident run at any worker count, under worker kills,
 // dropped dispatches, corrupt responses and zombie replies (see
@@ -53,7 +54,7 @@ func main() {
 		heuristic = flag.String("heuristic", "heu2", "fus|heu1|heu2|inverse|pin")
 		local     = flag.Int("local", 0, "spawn N in-process rdserved workers on loopback")
 		workers   = flag.String("workers", "", "comma-separated rdserved worker addresses (host:port,...)")
-		sliceMS   = flag.Int64("slice", 0, "per-dispatch slice budget in ms; workers stream checkpoints back (0 = whole cones)")
+		sliceMS   = flag.Int64("slice", 0, "per-dispatch slice budget in ms; workers stream checkpoints back (0 = whole groups)")
 		enum      = flag.Int("enum-workers", runtime.GOMAXPROCS(0), "enumeration goroutines per dispatched slice")
 		dispatch  = flag.Duration("dispatch-timeout", 60*time.Second, "abandon a dispatch after this long (the reply is discarded as a zombie)")
 		failures  = flag.Int("fail-threshold", 3, "consecutive failures that quarantine a worker")

@@ -14,21 +14,35 @@ import (
 	"rdfault/internal/logic"
 )
 
-// CheckpointVersion is the serialization version understood by this
-// build. Decode rejects any other version rather than guessing.
-const CheckpointVersion = 1
+// CheckpointVersion stamps the checkpoint of a whole-circuit Enumerate;
+// ConesCheckpointVersion stamps that of an output-restricted
+// EnumerateCones walk, which also carries the requested outputs and the
+// per-gate tallies. Decode rejects any other version rather than
+// guessing, each entry point refuses the other's kind with
+// ErrCheckpointKind, and a build that predates the restricted kind
+// refuses it as an unknown version.
+const (
+	CheckpointVersion      = 1
+	ConesCheckpointVersion = 2
+)
+
+// ErrCheckpointKind is the sentinel for a valid checkpoint handed to the
+// wrong entry point: a whole-circuit checkpoint to EnumerateCones, or an
+// output-restricted one to Enumerate.
+var ErrCheckpointKind = errors.New("core: checkpoint is for the other kind of walk")
 
 // Checkpoint captures everything a deadline- or cancel-interrupted
-// Enumerate needs to finish later: the untaken DFS frontier (one entry
-// per un-walked branch, each with its path prefix and implication-engine
-// snapshot) plus the counters accumulated before the interruption.
-// Resuming via Options.Checkpoint walks exactly the complement of what
-// the interrupted run counted, so the combined counters are bit-identical
-// to an uninterrupted run for any worker count.
+// Enumerate or EnumerateCones needs to finish later: the untaken DFS
+// frontier (one entry per un-walked branch, each with its path prefix
+// and implication-engine snapshot) plus the counters accumulated before
+// the interruption. Resuming via Options.Checkpoint walks exactly the
+// complement of what the interrupted run counted, so the combined
+// counters are bit-identical to an uninterrupted run for any worker
+// count.
 //
 // A checkpoint is bound to one (circuit, criterion, input sort) triple,
-// recorded as fingerprints; Enumerate refuses to resume against anything
-// else.
+// recorded as fingerprints, and a restricted one to its outputs; the
+// walk refuses to resume against anything else.
 type Checkpoint struct {
 	Version   int                `json:"version"`
 	Circuit   string             `json:"circuit"`
@@ -37,6 +51,21 @@ type Checkpoint struct {
 	SortFP    uint64             `json:"sort_fp"` // 0 when the criterion uses no sort
 	Counters  CheckpointCounters `json:"counters"`
 	Tasks     []CheckpointTask   `json:"tasks"`
+	// Outputs and Tallies belong to an output-restricted walk only: the
+	// gate IDs of the requested outputs, in request order, and the
+	// nonzero per-gate tallies folded so far.
+	Outputs []int             `json:"outputs,omitempty"`
+	Tallies []CheckpointTally `json:"tallies,omitempty"`
+}
+
+// CheckpointTally is one gate's share of an interrupted restricted walk:
+// extensions into it, extensions pruned at it, and, for an output, the
+// selected paths ending there.
+type CheckpointTally struct {
+	Gate     int   `json:"gate"`
+	Segments int64 `json:"segments,omitempty"`
+	Pruned   int64 `json:"pruned,omitempty"`
+	Selected int64 `json:"selected,omitempty"`
 }
 
 // CheckpointCounters are the partial tallies of the interrupted run; the
@@ -142,9 +171,9 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if cp.Version == 0 {
 		return nil, corruptErr(-1, "checkpoint has no version field")
 	}
-	if cp.Version != CheckpointVersion {
-		return nil, fmt.Errorf("core: checkpoint version %d, this build reads %d",
-			cp.Version, CheckpointVersion)
+	if cp.Version != CheckpointVersion && cp.Version != ConesCheckpointVersion {
+		return nil, fmt.Errorf("core: checkpoint version %d, this build reads %d and %d",
+			cp.Version, CheckpointVersion, ConesCheckpointVersion)
 	}
 	// Trailing garbage means the file is not what Encode wrote; a partial
 	// overwrite or concatenation must not resume as if intact.
@@ -165,6 +194,11 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	for _, lc := range ctr.LeadCounts {
 		if lc < 0 {
 			return nil, corruptErr(-1, "negative lead counter %d", lc)
+		}
+	}
+	for _, t := range cp.Tallies {
+		if t.Segments < 0 || t.Pruned < 0 || t.Selected < 0 {
+			return nil, corruptErr(-1, "negative tally at gate %d", t.Gate)
 		}
 	}
 	return cp, nil
@@ -259,12 +293,29 @@ func sortFingerprint(s *circuit.InputSort) uint64 {
 	return h.Sum64()
 }
 
+// buildConesCheckpoint serializes an interrupted restricted walk: the
+// frontier, the walk's counters, the requested outputs and every
+// nonzero per-gate tally.
+func buildConesCheckpoint(c *circuit.Circuit, cr Criterion, sort *circuit.InputSort,
+	walk *Result, outputs []circuit.GateID, tally []coneTally, tasks []task) *Checkpoint {
+	cp := buildCheckpoint(ConesCheckpointVersion, c, cr, sort, walk.counters(), tasks)
+	for _, o := range outputs {
+		cp.Outputs = append(cp.Outputs, int(o))
+	}
+	for g, t := range tally {
+		if t != (coneTally{}) {
+			cp.Tallies = append(cp.Tallies, CheckpointTally{Gate: g, Segments: t.segments, Pruned: t.pruned, Selected: t.selected})
+		}
+	}
+	return cp
+}
+
 // buildCheckpoint serializes the frontier tasks and counter baseline of
-// an interrupted run.
-func buildCheckpoint(c *circuit.Circuit, cr Criterion, sort *circuit.InputSort,
+// an interrupted run under the given version.
+func buildCheckpoint(version int, c *circuit.Circuit, cr Criterion, sort *circuit.InputSort,
 	counters CheckpointCounters, tasks []task) *Checkpoint {
 	cp := &Checkpoint{
-		Version:   CheckpointVersion,
+		Version:   version,
 		Circuit:   c.Name(),
 		CircuitFP: circuitFingerprint(c),
 		Criterion: cr.String(),
@@ -302,11 +353,17 @@ func buildCheckpoint(c *circuit.Circuit, cr Criterion, sort *circuit.InputSort,
 	return cp
 }
 
-// validateFor checks that the checkpoint belongs to this exact
-// (circuit, criterion, sort) run and that every task index is in range.
-func (cp *Checkpoint) validateFor(c *circuit.Circuit, cr Criterion, sort *circuit.InputSort) error {
-	if cp.Version != CheckpointVersion {
-		return fmt.Errorf("core: checkpoint version %d, this build reads %d", cp.Version, CheckpointVersion)
+// validateFor checks that the checkpoint is of the given version and
+// belongs to this exact (circuit, criterion, sort) run, and that every
+// task index is in range.
+func (cp *Checkpoint) validateFor(version int, c *circuit.Circuit, cr Criterion, sort *circuit.InputSort) error {
+	switch cp.Version {
+	case version:
+	case CheckpointVersion, ConesCheckpointVersion:
+		return fmt.Errorf("%w: version %d, this walk resumes version %d", ErrCheckpointKind, cp.Version, version)
+	default:
+		return fmt.Errorf("core: checkpoint version %d, this build reads %d and %d",
+			cp.Version, CheckpointVersion, ConesCheckpointVersion)
 	}
 	if cp.Circuit != c.Name() || cp.CircuitFP != circuitFingerprint(c) {
 		return fmt.Errorf("core: checkpoint is for circuit %q (fingerprint mismatch with %q)",
@@ -352,6 +409,28 @@ func (cp *Checkpoint) validateFor(c *circuit.Circuit, cr Criterion, sort *circui
 			if logic.Value(v) != logic.Zero && logic.Value(v) != logic.One {
 				return fmt.Errorf("core: checkpoint task %d: bad snapshot value %d", i, v)
 			}
+		}
+	}
+	return nil
+}
+
+// validateCones checks a restricted walk's checkpoint: validateFor, the
+// same outputs in the same order, and tallies on gates of c.
+func (cp *Checkpoint) validateCones(c *circuit.Circuit, cr Criterion, sort *circuit.InputSort, outputs []circuit.GateID) error {
+	if err := cp.validateFor(ConesCheckpointVersion, c, cr, sort); err != nil {
+		return err
+	}
+	if len(cp.Outputs) != len(outputs) {
+		return fmt.Errorf("core: checkpoint walks %d outputs, the run requests %d", len(cp.Outputs), len(outputs))
+	}
+	for i, o := range outputs {
+		if cp.Outputs[i] != int(o) {
+			return fmt.Errorf("core: checkpoint output %d is gate %d, the run requests gate %d", i, cp.Outputs[i], o)
+		}
+	}
+	for _, t := range cp.Tallies {
+		if t.Gate < 0 || t.Gate >= c.NumGates() {
+			return fmt.Errorf("core: checkpoint tally gate %d out of range", t.Gate)
 		}
 	}
 	return nil

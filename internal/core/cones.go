@@ -26,16 +26,24 @@ import (
 // §5), so each cone's Segments and Pruned are sums of per-gate tallies
 // over the cone's gates and its Selected is the tally at its output.
 //
-// It takes opt.Sort, Workers, Context and Deadline; any other option is
-// an error. An interrupted walk ends StatusDeadline or StatusCanceled
-// with ErrDeadline or ErrCanceled and no checkpoint.
+// It takes opt.Sort, Workers, Context, Deadline and Checkpoint; any
+// other option is an error. An interrupted walk ends StatusDeadline or
+// StatusCanceled with ErrDeadline or ErrCanceled, partial counters and
+// walk.Checkpoint, which a later call with the same outputs resumes to
+// the uninterrupted walk's counters. That checkpoint carries
+// ConesCheckpointVersion: Enumerate refuses it, and EnumerateCones
+// refuses Enumerate's, with ErrCheckpointKind.
 func EnumerateCones(c *circuit.Circuit, cr Criterion, outputs []circuit.GateID, opt Options) (cones []*Result, walk *Result, err error) {
-	if opt.Checkpoint != nil || opt.Limit > 0 || opt.CollectLeadCounts || opt.OnPath != nil ||
+	if opt.Limit > 0 || opt.CollectLeadCounts || opt.OnPath != nil ||
 		opt.NoPrune || opt.Exact || opt.Progress != nil || opt.onPrune != nil {
-		return nil, nil, errors.New("core: EnumerateCones takes only the Sort, Workers, Context and Deadline options")
+		return nil, nil, errors.New("core: EnumerateCones takes only the Sort, Workers, Context, Deadline and Checkpoint options")
 	}
 	if err := checkSort(c, cr, opt.Sort); err != nil {
 		return nil, nil, err
+	}
+	ckptSort := opt.Sort
+	if cr != SigmaPi {
+		ckptSort = nil
 	}
 	an := analysis.For(c)
 	n := c.NumGates()
@@ -58,15 +66,28 @@ func EnumerateCones(c *circuit.Circuit, cr Criterion, outputs []circuit.GateID, 
 			}
 		}
 	}
+	walk = &Result{Criterion: cr, Total: new(big.Int)}
+	tally := make([]coneTally, n)
+	var tasks []task
+	if cp := opt.Checkpoint; cp != nil {
+		if err := cp.validateCones(c, cr, ckptSort, outputs); err != nil {
+			return nil, nil, err
+		}
+		tasks = cp.toTasks()
+		walk.Selected, walk.Segments, walk.Pruned = cp.Counters.Selected, cp.Counters.Segments, cp.Counters.Pruned
+		for _, t := range cp.Tallies {
+			tally[t.Gate] = coneTally{segments: t.Segments, pruned: t.Pruned, selected: t.Selected}
+		}
+	} else {
+		tasks = rootTasks(c, want)
+	}
 	ctx, cancel := runContext(opt)
 	defer cancel()
 
 	start := time.Now()
-	walk = &Result{Criterion: cr, Total: new(big.Int)}
-	tally := make([]coneTally, n)
 	var p *pass
 	if ctx.Err() == nil {
-		p = walkTasks(ctx, an, cr, &opt, rootTasks(c, want), 0, func(w *walker) {
+		p = walkTasks(ctx, an, cr, &opt, tasks, 0, func(w *walker) {
 			w.within, w.want = within, want
 			w.tally = make([]coneTally, n)
 		})
@@ -113,6 +134,10 @@ func EnumerateCones(c *circuit.Circuit, cr Criterion, outputs []circuit.GateID, 
 		walk.degrade(p.we.errs)
 	case p == nil || (p.canceled && len(p.fr.tasks) > 0):
 		walk.Status, walk.Err = interruption(ctx)
+		if p != nil {
+			tasks = p.fr.tasks
+		}
+		walk.Checkpoint = buildConesCheckpoint(c, cr, ckptSort, walk, outputs, tally, tasks)
 	default:
 		walk.complete()
 	}

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"testing"
+	"time"
 
 	"rdfault/internal/circuit"
 	"rdfault/internal/gen"
@@ -107,8 +110,8 @@ func TestEnumerateConesMatchesPerCone(t *testing.T) {
 	}
 }
 
-// An interrupted restricted walk reports core's typed interruptions and
-// no cone counters that look exact.
+// An interrupted restricted walk reports core's typed interruptions, no
+// cone counters that look exact, and a restricted-kind checkpoint.
 func TestEnumerateConesInterrupted(t *testing.T) {
 	c := gen.ALU(8, gen.XorNAND)
 	canceled, cancel := context.WithCancel(context.Background())
@@ -125,8 +128,10 @@ func TestEnumerateConesInterrupted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !errors.Is(walk.Err, tc.want) || walk.Complete || walk.Checkpoint != nil {
-			t.Fatalf("walk ended %v (%v), want %v and no checkpoint", walk.Status, walk.Err, tc.want)
+		if !errors.Is(walk.Err, tc.want) || walk.Complete || walk.Checkpoint == nil ||
+			walk.Checkpoint.Version != ConesCheckpointVersion {
+			t.Fatalf("walk ended %v (%v) with checkpoint %v, want %v and a version %d checkpoint",
+				walk.Status, walk.Err, walk.Checkpoint != nil, tc.want, ConesCheckpointVersion)
 		}
 		for _, r := range cones {
 			if r.RD != nil || !errors.Is(r.Err, tc.want) {
@@ -154,5 +159,138 @@ func TestEnumerateConesRejectsUnsupported(t *testing.T) {
 	}
 	if _, _, err := EnumerateCones(c, SigmaPi, c.Outputs(), Options{}); err == nil {
 		t.Fatal("SigmaPi without a sort accepted")
+	}
+}
+
+// runConesToCompletion resumes an interrupted restricted walk until it
+// completes. Each round is cut by a deadline that starts at ten
+// microseconds and grows by a tenth per round, so the walk is
+// interrupted at many points; every checkpoint is round-tripped through
+// its encoding. It returns the final walk, the number of interrupted
+// rounds and how many of them cut a DFS subtree (a checkpoint holding a
+// branch, not only root tasks).
+func runConesToCompletion(t *testing.T, c *circuit.Circuit, cr Criterion, outputs []circuit.GateID, opt Options) ([]*Result, *Result, int, int) {
+	t.Helper()
+	rounds, branched := 0, 0
+	deadline := 10 * time.Microsecond
+	for {
+		opt.Deadline = deadline
+		cones, walk, err := EnumerateCones(c, cr, outputs, opt)
+		if err != nil {
+			t.Fatalf("round %d: %v", rounds, err)
+		}
+		switch walk.Status {
+		case StatusComplete:
+			return cones, walk, rounds, branched
+		case StatusDeadline:
+			rounds++
+			if walk.Checkpoint == nil || walk.RD != nil || !errors.Is(walk.Err, ErrDeadline) {
+				t.Fatalf("round %d: interrupted walk checkpoint=%v rd=%v err=%v", rounds, walk.Checkpoint != nil, walk.RD, walk.Err)
+			}
+			if slices.ContainsFunc(walk.Checkpoint.Tasks, func(t CheckpointTask) bool { return !t.IsRoot }) {
+				branched++
+			}
+			var buf bytes.Buffer
+			if err := walk.Checkpoint.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if opt.Checkpoint, err = DecodeCheckpoint(&buf); err != nil {
+				t.Fatalf("round %d: decode checkpoint: %v", rounds, err)
+			}
+		default:
+			t.Fatalf("round %d: walk ended %v", rounds, walk.Status)
+		}
+		if rounds > 1000 {
+			t.Fatal("resume did not converge")
+		}
+		deadline += deadline / 10
+	}
+}
+
+// TestEnumerateConesResumeMatchesUninterrupted is the restricted walk's
+// resume guarantee: a walk cut at many points and resumed from its
+// checkpoints lands on the uninterrupted walk's counters, per output and
+// for the walk, under FS and σ^π, at one and four workers, for all
+// outputs and for every other output.
+func TestEnumerateConesResumeMatchesUninterrupted(t *testing.T) {
+	branchedTotal := 0
+	for _, c := range []*circuit.Circuit{resilienceCircuit(1), gen.ALU(4, gen.XorNAND), gen.ALUPipeline(4, gen.XorNAND)} {
+		var alternate []circuit.GateID
+		for i, po := range c.Outputs() {
+			if i%2 == 1 {
+				alternate = append(alternate, po)
+			}
+		}
+		h1 := Heuristic1Sort(c)
+		for _, cr := range []Criterion{FS, SigmaPi} {
+			var sort *circuit.InputSort
+			if cr == SigmaPi {
+				sort = &h1
+			}
+			for _, outputs := range [][]circuit.GateID{c.Outputs(), alternate} {
+				wantCones, wantWalk, err := EnumerateCones(c, cr, outputs, Options{Sort: sort})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{1, 4} {
+					label := fmt.Sprintf("%s/%v/%d outputs/w=%d", c.Name(), cr, len(outputs), workers)
+					cones, walk, rounds, branched := runConesToCompletion(t, c, cr, outputs, Options{Sort: sort, Workers: workers})
+					if rounds == 0 {
+						t.Fatalf("%s: the walk was never interrupted", label)
+					}
+					t.Logf("%s: %d interruptions, %d inside a DFS subtree", label, rounds, branched)
+					branchedTotal += branched
+					for i, got := range append([]*Result{walk}, cones...) {
+						want := wantWalk
+						if i > 0 {
+							want = wantCones[i-1]
+						}
+						if got.Total.Cmp(want.Total) != 0 || got.RD.Cmp(want.RD) != 0 || got.Selected != want.Selected ||
+							got.Segments != want.Segments || got.Pruned != want.Pruned {
+							t.Fatalf("%s after %d rounds, result %d: total=%v rd=%v selected=%d segments=%d pruned=%d, uninterrupted total=%v rd=%v selected=%d segments=%d pruned=%d",
+								label, rounds, i, got.Total, got.RD, got.Selected, got.Segments, got.Pruned,
+								want.Total, want.RD, want.Selected, want.Segments, want.Pruned)
+						}
+					}
+				}
+			}
+		}
+	}
+	if branchedTotal == 0 {
+		t.Fatal("no interruption cut a DFS subtree; only root tasks were checkpointed")
+	}
+}
+
+// TestEnumerateConesCheckpointKinds: each entry point refuses the other's
+// checkpoint with ErrCheckpointKind, and a restricted checkpoint resumes
+// only the outputs it was cut from.
+func TestEnumerateConesCheckpointKinds(t *testing.T) {
+	c := resilienceCircuit(5)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, walk, err := EnumerateCones(c, FS, c.Outputs(), Options{Context: canceled})
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := Enumerate(c, FS, Options{Context: canceled})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restricted := walk.Checkpoint
+	if restricted == nil || whole.Checkpoint == nil ||
+		restricted.Version != ConesCheckpointVersion || whole.Checkpoint.Version != CheckpointVersion {
+		t.Fatal("interrupted walks left no checkpoints of their kinds")
+	}
+	if _, err := Enumerate(c, FS, Options{Checkpoint: restricted}); !errors.Is(err, ErrCheckpointKind) {
+		t.Fatalf("Enumerate resumed a restricted checkpoint: %v", err)
+	}
+	if _, _, err := EnumerateCones(c, FS, c.Outputs(), Options{Checkpoint: whole.Checkpoint}); !errors.Is(err, ErrCheckpointKind) {
+		t.Fatalf("EnumerateCones resumed a whole-circuit checkpoint: %v", err)
+	}
+	if _, _, err := EnumerateCones(c, FS, c.Outputs()[1:], Options{Checkpoint: restricted}); err == nil || errors.Is(err, ErrCheckpointKind) {
+		t.Fatalf("a checkpoint resumed other outputs: %v", err)
+	}
+	if _, _, err := EnumerateCones(c, FS, c.Outputs(), Options{Checkpoint: restricted}); err != nil {
+		t.Fatalf("the checkpoint's own outputs refused it: %v", err)
 	}
 }

@@ -340,6 +340,9 @@ func (w *walker) saveSiblings(fanout []circuit.Edge, from int, exporting bool) {
 		if exporting && w.sh != nil && w.sh.splitOK[e.To] {
 			continue // handed to the scheduler by export
 		}
+		if w.want != nil && !w.want[e.To] {
+			continue // reaches no requested output; dfs skips it too
+		}
 		if ts == nil {
 			base := task{
 				snap:  w.eng.Snapshot(),
@@ -692,7 +695,7 @@ func Enumerate(c *circuit.Circuit, cr Criterion, opt Options) (*Result, error) {
 	var tasks []task
 	var baseline CheckpointCounters
 	if opt.Checkpoint != nil {
-		if err := opt.Checkpoint.validateFor(c, cr, ckptSort); err != nil {
+		if err := opt.Checkpoint.validateFor(CheckpointVersion, c, cr, ckptSort); err != nil {
 			return nil, err
 		}
 		baseline = opt.Checkpoint.Counters
@@ -726,7 +729,7 @@ func Enumerate(c *circuit.Circuit, cr Criterion, opt Options) (*Result, error) {
 	}
 	finishProgress := func() {
 		if opt.Progress != nil {
-			opt.Progress.finish(progressOf(res))
+			opt.Progress.Freeze(progressOf(res))
 		}
 	}
 
@@ -741,7 +744,7 @@ func Enumerate(c *circuit.Circuit, cr Criterion, opt Options) (*Result, error) {
 
 	finishInterrupted := func(fr *frontier) {
 		res.Status, res.Err = interruption(ctx)
-		res.Checkpoint = buildCheckpoint(c, cr, ckptSort, res.counters(), fr.tasks)
+		res.Checkpoint = buildCheckpoint(CheckpointVersion, c, cr, ckptSort, res.counters(), fr.tasks)
 	}
 
 	// Immediate cancellation: nothing walked, the whole work list is the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/big"
 	"sort"
 	"sync"
@@ -56,6 +57,35 @@ func Heuristic2Sort(c *circuit.Circuit) (circuit.InputSort, *Result, *Result, er
 // tallies are schedule-independent.
 func Heuristic2SortWorkers(c *circuit.Circuit, workers int) (circuit.InputSort, *Result, *Result, error) {
 	return heuristic2SortCtx(c, workers, nil)
+}
+
+// HeuristicSort computes the whole-circuit input sort h prescribes, nil
+// for HeuristicFUS (the FS criterion needs none). workers is Heuristic
+// 2's budget for its two Algorithm 3 passes; the sort is the same for
+// every budget. A cone's share of the sort is its projection
+// (InputSort.Cone), which is what lets per-cone counters sum to the
+// whole-circuit run.
+func HeuristicSort(c *circuit.Circuit, h Heuristic, workers int) (*circuit.InputSort, error) {
+	var s circuit.InputSort
+	switch h {
+	case HeuristicFUS:
+		return nil, nil
+	case Heuristic1:
+		s = Heuristic1Sort(c)
+	case Heuristic2, Heuristic2Inverse:
+		var err error
+		if s, _, _, err = Heuristic2SortWorkers(c, workers); err != nil {
+			return nil, err
+		}
+		if h == Heuristic2Inverse {
+			s = s.Inverse()
+		}
+	case HeuristicPinOrder:
+		s = circuit.PinOrderSort(c)
+	default:
+		return nil, fmt.Errorf("core: unknown heuristic %v", h)
+	}
+	return &s, nil
 }
 
 // heu2Passes bundles the memoized outcome of Algorithm 3: the sort plus

@@ -79,8 +79,11 @@ func (t *Tracker) newShard() *progressShard {
 	return s
 }
 
-// finish freezes the tracker on the pass's exact final counters.
-func (t *Tracker) finish(p Progress) {
+// Freeze ends the tracker's pass on exact final counters: every later
+// Snapshot returns p, marked Final. Enumerate freezes its tracker
+// itself; a caller that answers without enumerating (a result-store
+// hit) freezes it on the counters it served.
+func (t *Tracker) Freeze(p Progress) {
 	p.Final = true
 	t.mu.Lock()
 	t.final = &p

@@ -151,7 +151,7 @@ func TestChaosCoordKillMatrix(t *testing.T) {
 func TestChaosCoordRecoveryRetiresJournaledAnswers(t *testing.T) {
 	ref := chaosRef(t)
 	c := gen.RippleAdder(4, gen.XorNAND)
-	pool := newPool(t, 2)
+	pool := newPool(t, 4)
 	cfg := testConfig(pool, 5)
 	path := filepath.Join(t.TempDir(), "coord.journal")
 	jw, err := journal.Create(path, 1, nil)
@@ -159,8 +159,9 @@ func TestChaosCoordRecoveryRetiresJournaledAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Die on the third merge: two cones are already answered in the
-	// journal, the answer that triggered the kill is journaled too.
+	// Four workers deal the five cones into four groups. Die on the third
+	// group merge: two groups are already answered in the journal, and
+	// the answers that triggered the kill are journaled too.
 	plan := faultinject.NewPlan(faultinject.Rule{
 		Point: faultinject.PointCoordKill + ".mid-merge",
 		Kind:  faultinject.KindError, Hit: 3, Count: 1,
@@ -171,7 +172,7 @@ func TestChaosCoordRecoveryRetiresJournaledAnswers(t *testing.T) {
 	_, runErr := Run(context.Background(), kcfg, c, core.Heuristic2)
 	restore()
 	jw.Close()
-	if !errors.Is(runErr, ErrKilled) {
+	if !errors.Is(runErr, ErrKilled) || plan.Fired(faultinject.PointCoordKill+".mid-merge") != 1 {
 		t.Fatalf("primary survived: %v", runErr)
 	}
 

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -101,13 +102,16 @@ func TestChaosScheduleSweepKeepsCountersBitIdentical(t *testing.T) {
 			},
 		},
 		{
+			// The first two dispatches are dropped and the third kills its
+			// worker, so the first response that arrives is the fourth
+			// dispatch's: it is corrupted, and the next one is late.
 			name: "mixed-everything",
 			mut:  func(c *Config) { c.DispatchTimeout = 200 * time.Millisecond },
 			rules: []faultinject.Rule{
 				{Point: faultinject.PointFleetWorkerKill, Kind: faultinject.KindError, Hit: 3, Count: 1},
 				{Point: faultinject.PointFleetDispatch, Kind: faultinject.KindError, Count: 2},
-				{Point: faultinject.PointFleetResponseCorrupt, Kind: faultinject.KindCorrupt, Hit: 4, Count: 1, Seed: 7},
-				{Point: faultinject.PointFleetLatency, Kind: faultinject.KindSleep, Delay: 700 * time.Millisecond, Hit: 6, Count: 1},
+				{Point: faultinject.PointFleetResponseCorrupt, Kind: faultinject.KindCorrupt, Hit: 1, Count: 1, Seed: 7},
+				{Point: faultinject.PointFleetLatency, Kind: faultinject.KindSleep, Delay: 700 * time.Millisecond, Hit: 2, Count: 1},
 			},
 		},
 	}
@@ -221,26 +225,22 @@ func TestChaosAllWorkersDeadFailsTyped(t *testing.T) {
 	}
 }
 
-// The failover primitive, isolated: a slice chain started on worker A
-// and finished on worker B (checkpoint migration) must produce exactly
-// the counters of the whole chain run on B alone.
+// The failover primitive, isolated: a group's slice chain started on
+// worker A and finished on worker B (checkpoint migration) must produce
+// exactly the counters of the whole chain run on B alone, cone by cone.
 func TestChaosCheckpointMigratesAcrossWorkers(t *testing.T) {
 	c := gen.RippleAdder(6, gen.XorNAND)
-	sort, err := globalSort(c, core.Heuristic2)
+	sort, err := core.HeuristicSort(c, core.Heuristic2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := c.Outputs()
-	cone, mapping, err := c.Cone(outs[len(outs)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	bench := benchOfCone(t, cone)
+	n := len(c.Outputs())
 	req := serve.ConeRequest{
-		Bench:     bench,
-		Name:      cone.Name(),
+		Bench:     benchOf(t, c),
+		Name:      c.Name(),
+		Outputs:   []int{n - 1, 1, n - 3}, // the widest cone and two others
 		Criterion: "sigma^pi",
-		Sort:      sort.Cone(mapping).ByName(cone),
+		Sort:      sort.ByName(c),
 		Workers:   1,
 	}
 
@@ -296,20 +296,136 @@ func TestChaosCheckpointMigratesAcrossWorkers(t *testing.T) {
 	if onA {
 		t.Fatal("chain completed before migrating; nothing was tested")
 	}
-	if migrated.TotalPaths != oneShot.TotalPaths || migrated.Selected != oneShot.Selected ||
-		migrated.RD != oneShot.RD || migrated.Segments != oneShot.Segments {
-		t.Fatalf("migrated chain total=%s selected=%d rd=%s segments=%d; one-shot total=%s selected=%d rd=%s segments=%d",
-			migrated.TotalPaths, migrated.Selected, migrated.RD, migrated.Segments,
-			oneShot.TotalPaths, oneShot.Selected, oneShot.RD, oneShot.Segments)
+	for i, got := range append([]*serve.ConeAnswer{migrated}, migrated.Cones...) {
+		want := oneShot
+		if i > 0 {
+			want = oneShot.Cones[i-1]
+		}
+		if got.TotalPaths != want.TotalPaths || got.Selected != want.Selected ||
+			got.RD != want.RD || got.Segments != want.Segments || got.Pruned != want.Pruned {
+			t.Fatalf("answer %d: migrated chain total=%s selected=%d rd=%s segments=%d; one-shot total=%s selected=%d rd=%s segments=%d",
+				i, got.TotalPaths, got.Selected, got.RD, got.Segments,
+				want.TotalPaths, want.Selected, want.RD, want.Segments)
+		}
+	}
+	if len(migrated.Cones) != len(req.Outputs) {
+		t.Fatalf("%d cone answers for %d outputs", len(migrated.Cones), len(req.Outputs))
 	}
 }
 
-// benchOfCone serializes a cone for a wire dispatch.
-func benchOfCone(t *testing.T, c *circuit.Circuit) string {
+// benchOf serializes a netlist for a wire dispatch.
+func benchOf(t *testing.T, c *circuit.Circuit) string {
 	t.Helper()
 	var b strings.Builder
 	if err := circuit.WriteBench(&b, c); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()
+}
+
+// dispatchLog records every dispatch a run makes over an HTTP transport
+// whose kill hook it owns: which worker, which cones, whether it carried
+// a checkpoint, whether the hook killed its worker, and how it ended. A
+// worker loop has one dispatch in flight at a time, so a kill of the
+// destination during a call belongs to that call.
+type dispatchLog struct {
+	inner *HTTPTransport
+
+	mu    sync.Mutex
+	kills map[string]int
+	recs  []dispatchRec
+}
+
+func newDispatchLog(pool *LocalPool) *dispatchLog {
+	l := &dispatchLog{kills: map[string]int{}}
+	l.inner = &HTTPTransport{Kill: func(addr string) {
+		l.mu.Lock()
+		l.kills[addr]++
+		l.mu.Unlock()
+		pool.Kill(addr)
+	}}
+	return l
+}
+
+type dispatchRec struct {
+	worker, outputs string
+	checkpoint      bool
+	killed          bool // this dispatch's worker was killed on the way
+	status          string
+}
+
+func (l *dispatchLog) Dispatch(ctx context.Context, worker string, req serve.ConeRequest) (*serve.ConeAnswer, error) {
+	l.mu.Lock()
+	kills := l.kills[worker]
+	l.mu.Unlock()
+	ans, err := l.inner.Dispatch(ctx, worker, req)
+	rec := dispatchRec{worker: worker, outputs: fmt.Sprint(req.Outputs), checkpoint: len(req.Checkpoint) > 0, status: "error"}
+	if err == nil {
+		rec.status = ans.Status
+	}
+	l.mu.Lock()
+	rec.killed = l.kills[worker] > kills
+	l.recs = append(l.recs, rec)
+	l.mu.Unlock()
+	return ans, err
+}
+
+func (l *dispatchLog) Healthz(ctx context.Context, worker string) error {
+	return l.inner.Healthz(ctx, worker)
+}
+
+// A worker killed mid-group: both groups have streamed a checkpoint when
+// the third dispatch kills its worker, and the group it carried resumes
+// from that checkpoint on the survivor — no restart, counters equal to
+// the single-process run.
+func TestChaosKilledWorkerMidGroupMigratesCheckpoint(t *testing.T) {
+	ref := chaosRef(t)
+	pool := newPool(t, 2)
+	cfg := testConfig(pool, 5)
+	log := newDispatchLog(pool)
+	cfg.Transport = log
+	plan := faultinject.NewPlan(
+		// Slow every walk task so 5 ms slices expire inside the groups.
+		faultinject.Rule{Point: faultinject.PointWorker, Kind: faultinject.KindSleep, Delay: time.Millisecond},
+		faultinject.Rule{Point: faultinject.PointFleetWorkerKill, Kind: faultinject.KindError, Hit: 3, Count: 1},
+	)
+	restore := faultinject.Activate(plan)
+	res, err := Run(context.Background(), cfg, gen.RippleAdder(4, gen.XorNAND), core.Heuristic2)
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Fired(faultinject.PointFleetWorkerKill) != 1 || pool.Killed() != 1 {
+		t.Fatalf("kill fired %d times, %d workers killed", plan.Fired(faultinject.PointFleetWorkerKill), pool.Killed())
+	}
+	assertMatchesIdentify(t, res, ref)
+	if res.Stats.Restarts != 0 || res.Stats.Slices == 0 {
+		t.Fatalf("stats %+v: want streamed slices and no restart", res.Stats)
+	}
+	clean, _, _, err := chaosRun(t, 1, nil, core.Heuristic2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Segments != clean.Segments {
+		t.Fatalf("segments %d, clean run %d", res.Segments, clean.Segments)
+	}
+
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	kill := -1
+	for i, r := range log.recs {
+		if r.killed {
+			kill = i
+		}
+	}
+	if kill < 0 || !log.recs[kill].checkpoint || log.recs[kill].status != "error" {
+		t.Fatalf("the killing dispatch %d carried no checkpoint or did not fail: %+v", kill, log.recs)
+	}
+	victim := log.recs[kill]
+	for _, r := range log.recs[kill+1:] {
+		if r.outputs == victim.outputs && r.worker != victim.worker && r.checkpoint && r.status != "error" {
+			return // the group's checkpoint moved to the survivor
+		}
+	}
+	t.Fatalf("group %s never resumed its checkpoint on another worker: %+v", victim.outputs, log.recs)
 }

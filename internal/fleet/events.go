@@ -1,16 +1,19 @@
 // Package fleet distributes RD identification across a pool of rdserved
-// workers: the coordinator shards the circuit by output cone, computes
-// one global input sort and projects it onto every cone (which is what
-// makes per-cone counters sum bit-identically to a single-process run),
-// dispatches checkpoint-bounded slices over HTTP, and survives worker
-// death by reclaiming each cone from its last streamed checkpoint.
+// workers: the coordinator computes one global input sort, deals the
+// output cones into one group per worker, ships the netlist and the
+// sort with every dispatch, and each worker walks its group's cones in
+// one output-restricted walk that answers every cone's own counters
+// (which is what makes per-cone counters sum bit-identically to a
+// single-process run). Dispatches are checkpoint-bounded slices over
+// HTTP, and the coordinator survives worker death by reclaiming each
+// group from its last streamed checkpoint.
 //
 // The resilience contract, enforced by the chaos suite: for any worker
 // count and any schedule of kills, dropped dispatches, delayed or
 // corrupted responses, the merged Selected/RD/Total/Segments counters
 // are bit-identical to a clean run — a fault can cost time, never
 // correctness. Zombie replies (answers arriving after the coordinator
-// reassigned the cone) are discarded by epoch, so every cone's result
+// reassigned the group) are discarded by epoch, so every cone's result
 // is accounted at most once.
 package fleet
 
@@ -30,25 +33,26 @@ type Event = telemetry.Event
 // Event kinds. Untyped strings so they compare directly against
 // telemetry.Event.Kind.
 const (
-	// EvDispatch: a cone slice left for a worker.
+	// EvDispatch: a group's slice left for a worker; Cone lists the
+	// group's cones, comma-separated.
 	EvDispatch = "dispatch"
 	// EvSlice: a worker answered an interrupted slice with a checkpoint;
-	// the cone is requeued with its progress kept.
+	// the group is requeued with its progress kept.
 	EvSlice = "slice"
 	// EvComplete: a cone's final answer was accepted.
 	EvComplete = "complete"
 	// EvFailure: a dispatch failed (network, saturation, corrupt
-	// response); the cone was reclaimed and requeued.
+	// response); the group was reclaimed and requeued.
 	EvFailure = "failure"
-	// EvAbandon: a dispatch exceeded the coordinator's wait; the cone's
-	// epoch advanced and the cone was requeued. Whatever the old dispatch
-	// still returns is a zombie.
+	// EvAbandon: a dispatch exceeded the coordinator's wait; the group's
+	// epoch advanced and the group was requeued. Whatever the old
+	// dispatch still returns is a zombie.
 	EvAbandon = "abandon"
 	// EvZombie: a reply from an abandoned dispatch arrived and was
 	// discarded (at-most-once accounting).
 	EvZombie = "zombie-discard"
-	// EvRestart: a worker rejected the cone's checkpoint (422); the
-	// checkpoint was dropped and the cone restarts from scratch.
+	// EvRestart: a worker rejected the group's checkpoint (422); the
+	// checkpoint was dropped and the group restarts from scratch.
 	EvRestart = "checkpoint-restart"
 	// EvQuarantine: a worker crossed the consecutive-failure threshold
 	// and stopped taking work pending health probes.

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rdfault/internal/analysis"
 	"rdfault/internal/circuit"
 	"rdfault/internal/core"
 	"rdfault/internal/faultinject"
@@ -44,16 +45,16 @@ type Config struct {
 	// Workers are the worker addresses (host:port); at least one.
 	Workers []string
 	// SliceMS bounds each dispatched slice so workers stream checkpoints
-	// back; 0 dispatches whole cones (failover then restarts a lost cone
-	// from its last completed dispatch, i.e. from scratch).
+	// back; 0 dispatches whole groups (failover then restarts a lost
+	// group from its last completed dispatch, i.e. from scratch).
 	SliceMS int64
 	// EnumWorkers is the per-slice enumeration parallelism on the worker
 	// (0 = worker default).
 	EnumWorkers int
 	// DispatchTimeout is how long the coordinator waits for a dispatch
-	// before abandoning it: the cone's epoch advances, the cone requeues,
-	// and the old dispatch's eventual reply is discarded as a zombie
-	// (default 60s).
+	// before abandoning it: the group's epoch advances, the group
+	// requeues, and the old dispatch's eventual reply is discarded as a
+	// zombie (default 60s). With SliceMS 0 it bounds a whole group's walk.
 	DispatchTimeout time.Duration
 	// FailThreshold is the consecutive-failure count that quarantines a
 	// worker (default 3).
@@ -126,7 +127,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts what the run survived.
+// Stats counts what the run survived. Dispatches, Slices and Restarts
+// count group dispatches: one dispatch walks every cone of its group.
 type Stats struct {
 	Cones          int   `json:"cones"`
 	Dispatches     int64 `json:"dispatches"`
@@ -154,10 +156,11 @@ type ConeResult struct {
 	// Answer is the accepted complete answer (cumulative over the cone's
 	// whole slice chain).
 	Answer *serve.ConeAnswer `json:"answer"`
-	// Slices counts accepted dispatch answers, complete included.
+	// Slices counts the accepted dispatch answers of the cone's group,
+	// complete included.
 	Slices int `json:"slices"`
-	// Restarts counts how many times the cone lost its checkpoint and
-	// started over.
+	// Restarts counts how many times the cone's group lost its
+	// checkpoint and started over.
 	Restarts int `json:"restarts"`
 }
 
@@ -184,26 +187,68 @@ type Result struct {
 	Duration  time.Duration
 }
 
-// job is one cone's mutable dispatch state. epoch implements
-// at-most-once accounting: a dispatch captures the epoch it was issued
-// under, and a reply whose epoch no longer matches (the coordinator
-// abandoned the dispatch and moved on) is discarded.
+// job is one cone's accounting. A cone is retired at build time (a
+// store or journal answer) or with its group; final and the counters
+// are read only after every dispatch has ended.
 type job struct {
-	idx   int
-	name  string
-	bench string
-	sort  map[string][]int
+	idx  int
+	name string
 	// storeKey addresses this cone's result in the store ("" without
 	// one); a completed cone writes back under it.
 	storeKey string
+
+	done     bool
+	final    *serve.ConeAnswer
+	slices   int
+	restarts int
+}
+
+// group is the dispatch unit: cones a worker walks together in one
+// output-restricted walk of the whole netlist. epoch implements
+// at-most-once accounting: a dispatch captures the epoch it was issued
+// under, and a reply whose epoch no longer matches (the coordinator
+// abandoned the dispatch and moved on) is discarded.
+type group struct {
+	jobs []*job
+	// outputs are the cones' positions in the circuit's output list, the
+	// request's addressing; label names the cones in events.
+	outputs []int
+	label   string
 
 	mu         sync.Mutex
 	epoch      uint64
 	checkpoint json.RawMessage
 	done       bool
-	final      *serve.ConeAnswer
 	slices     int
 	restarts   int
+}
+
+func newGroup(jobs []*job) *group {
+	g := &group{jobs: jobs}
+	names := make([]string, len(jobs))
+	for i, j := range jobs {
+		g.outputs = append(g.outputs, j.idx)
+		names[i] = j.name
+	}
+	g.label = strings.Join(names, ",")
+	return g
+}
+
+// deal splits the pending cones round-robin, in output order, into one
+// group per worker, or one per cone when fewer cones are pending. The
+// partition moves no counter: a cone's counters are those of its own
+// walk whatever it is walked with.
+func deal(pending []*job, workers int) []*group {
+	n := min(workers, len(pending))
+	parts := make([][]*job, n)
+	for i, j := range pending {
+		parts[i%n] = append(parts[i%n], j)
+	}
+	groups := make([]*group, n)
+	for i, p := range parts {
+		groups[i] = newGroup(p)
+	}
+	return groups
 }
 
 // runMeta carries what the merged Result reports about the run's
@@ -220,10 +265,19 @@ type coordinator struct {
 	meta      runMeta
 	jw        *journal.Writer
 	metrics   *Metrics
+	// bench and sort are what every dispatch ships: the whole netlist
+	// and the global sort keyed by gate name (nil for FS).
+	bench string
+	sort  map[string][]int
 
-	jobs      []*job
-	queue     chan *job
-	remaining atomic.Int64
+	jobs []*job
+	// writer maps each store key to the last cone carrying it. Twin cones
+	// (isomorphic, under equal sort rows) share a key and their counters;
+	// only the last one writes the record back, so the record names the
+	// same cone whatever order the groups complete in.
+	writer    map[string]int
+	queue     chan *group
+	remaining atomic.Int64 // cones not yet retired
 	allDone   chan struct{}
 	live      atomic.Int64
 
@@ -245,14 +299,21 @@ type coordinator struct {
 	bgWG   sync.WaitGroup // detached dispatches and zombie reapers
 }
 
-func newCoordinator(cfg Config, criterion string, jobs []*job) *coordinator {
+func newCoordinator(cfg Config, criterion string, meta runMeta, bench string, sort map[string][]int, jobs []*job) *coordinator {
+	writer := map[string]int{}
+	for _, j := range jobs {
+		writer[j.storeKey] = j.idx
+	}
 	return &coordinator{
+		writer:    writer,
 		cfg:       cfg,
 		criterion: criterion,
+		meta:      meta,
+		bench:     bench,
+		sort:      sort,
 		jw:        cfg.Journal,
 		metrics:   cfg.Metrics,
 		jobs:      jobs,
-		queue:     make(chan *job, len(jobs)),
 		allDone:   make(chan struct{}),
 		cancel:    func() {}, // replaced by run; fail is safe before then
 		events:    &eventLog{sink: cfg.OnEvent, tl: cfg.Telemetry},
@@ -283,17 +344,17 @@ func (co *coordinator) killCheck(phase string) bool {
 	return true
 }
 
-// journalAppend writes one write-ahead record (nil journal: a no-op).
-// False means the append failed and the run is aborting: a fenced term
-// fails typed with ErrStaleCoordinator (the caller must not perform the
-// side effect — that is the whole at-most-once argument), any other
-// failure aborts because proceeding past an unjournaled side effect
-// would make recovery wrong.
-func (co *coordinator) journalAppend(kind string, payload any) bool {
+// journalAppend writes write-ahead records of one kind with one fsync
+// (nil journal: a no-op). False means the append failed and the run is
+// aborting: a fenced term fails typed with ErrStaleCoordinator (the
+// caller must not perform the side effect — that is the whole
+// at-most-once argument), any other failure aborts because proceeding
+// past an unjournaled side effect would make recovery wrong.
+func (co *coordinator) journalAppend(kind string, payloads ...any) bool {
 	if co.jw == nil {
 		return true
 	}
-	err := co.jw.Append(kind, payload)
+	err := co.jw.Append(kind, payloads...)
 	if co.metrics != nil {
 		co.metrics.JournalBytes.Set(co.jw.Bytes())
 	}
@@ -316,9 +377,10 @@ func (co *coordinator) journalAppend(kind string, payload any) bool {
 
 // Run shards c by output cone and drives the worker pool until every
 // cone has a complete answer (or the run fails typed). The input sort
-// is computed once, globally, from h, and projected onto each cone —
-// per-cone criterion decisions then agree path-for-path with the
-// whole-circuit run, which is what makes the merged counters exact.
+// is computed once, globally, from h, and shipped with the netlist;
+// each worker walks its group's cones under it, which is what makes the
+// merged counters exact. The cones the store cannot answer are dealt
+// into one group per worker.
 func Run(ctx context.Context, cfg Config, c *circuit.Circuit, h core.Heuristic) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Transport == nil {
@@ -334,42 +396,41 @@ func Run(ctx context.Context, cfg Config, c *circuit.Circuit, h core.Heuristic) 
 		// job, and recovery correctly starts the run from scratch.
 		return nil, fmt.Errorf("%w at pre-sort", ErrKilled)
 	}
+	// The analysis built for c below (counts, sort) is read by nothing
+	// after the merge; releasing it keeps the registry for circuits that
+	// are looked up again.
+	defer analysis.Drop(c)
 
-	criterion := core.FS
-	var sort *circuit.InputSort
-	if h != core.HeuristicFUS {
-		criterion = core.SigmaPi
-		s, err := globalSort(c, h)
-		if err != nil {
-			return nil, err
-		}
-		sort = &s
+	criterion := core.SigmaPi
+	if h == core.HeuristicFUS {
+		criterion = core.FS
+	}
+	sort, err := core.HeuristicSort(c, h, 0)
+	if err != nil {
+		return nil, err
+	}
+	var bench strings.Builder
+	if err := circuit.WriteBench(&bench, c); err != nil {
+		return nil, err
+	}
+	var byName map[string][]int
+	if sort != nil {
+		byName = sort.ByName(c)
 	}
 
 	outputs := c.Outputs()
-	jobs := make([]*job, 0, len(outputs))
+	var keys []string
+	if cfg.Store != nil {
+		keys = store.ConeKeys(c, sort, criterion)
+	}
+	jobs := make([]*job, len(outputs))
 	var storeHits int64
-	for _, po := range outputs {
-		cone, mapping, err := c.Cone(po)
-		if err != nil {
-			return nil, err
-		}
-		j := &job{idx: len(jobs), name: cone.Name()}
-		var b strings.Builder
-		if err := circuit.WriteBench(&b, cone); err != nil {
-			return nil, err
-		}
-		j.bench = b.String()
-		var proj *circuit.InputSort
-		if sort != nil {
-			p := sort.Cone(mapping)
-			proj = &p
-			j.sort = p.ByName(cone)
-		}
-		if cfg.Store != nil {
-			j.storeKey = store.ConeKey(cone, proj, criterion)
-			if ans := storedConeAnswer(cfg.Store, j.storeKey, cone.Name(), criterion); ans != nil {
-				// Retired before the run starts: never queued, never
+	for i, po := range outputs {
+		j := &job{idx: i, name: store.ConeName(c, po)}
+		if keys != nil {
+			j.storeKey = keys[i]
+			if ans := storedConeAnswer(cfg.Store, j.storeKey, j.name, criterion); ans != nil {
+				// Retired before the run starts: never dealt, never
 				// dispatched. The answer is sealed like a worker's, so the
 				// merge path treats both provenances identically.
 				j.done = true
@@ -377,37 +438,39 @@ func Run(ctx context.Context, cfg Config, c *circuit.Circuit, h core.Heuristic) 
 				storeHits++
 			}
 		}
-		jobs = append(jobs, j)
+		jobs[i] = j
 	}
 
-	co := newCoordinator(cfg, criterion.String(), jobs)
-	co.meta = runMeta{circuit: c.Name(), heuristic: h.String()}
+	co := newCoordinator(cfg, criterion.String(), runMeta{circuit: c.Name(), heuristic: h.String()},
+		bench.String(), byName, jobs)
 	co.stats.storeHits.Store(storeHits)
 
 	// Journal admission before anything else happens: the admit record
-	// (cones, benches, projected sorts) is what Resume rebuilds from,
-	// and the store-retired answers follow it so a resumed journal
-	// retires them without consulting the store again.
+	// (netlist, global sort, cones) is what Resume rebuilds from, and the
+	// store-retired answers follow it so a resumed journal retires them
+	// without consulting the store again.
 	if co.jw != nil {
 		ar := admitRecord{
 			Circuit:   co.meta.circuit,
 			Heuristic: co.meta.heuristic,
 			Criterion: co.criterion,
 			SliceMS:   cfg.SliceMS,
-			Cones:     make([]admitCone, 0, len(jobs)),
+			Bench:     co.bench,
+			Sort:      co.sort,
+			Cones:     make([]admitCone, len(jobs)),
 		}
-		for _, j := range jobs {
-			ar.Cones = append(ar.Cones, admitCone{Name: j.name, Bench: j.bench, Sort: j.sort, StoreKey: j.storeKey})
+		var stored []any
+		for i, j := range jobs {
+			ar.Cones[i] = admitCone{Name: j.name, StoreKey: j.storeKey}
+			if j.done {
+				stored = append(stored, answerRecord{Cone: j.idx, Name: j.name, Source: answerSourceStore, Answer: j.final})
+			}
 		}
 		if err := co.jw.Append(journal.KindAdmit, ar); err != nil {
 			return nil, fmt.Errorf("fleet: journal admission: %w", err)
 		}
-		for _, j := range jobs {
-			if !j.done {
-				continue
-			}
-			rec := answerRecord{Cone: j.idx, Name: j.name, Source: answerSourceStore, Answer: j.final}
-			if err := co.jw.Append(journal.KindAnswer, rec); err != nil {
+		if len(stored) > 0 {
+			if err := co.jw.Append(journal.KindAnswer, stored...); err != nil {
 				return nil, fmt.Errorf("fleet: journal admission: %w", err)
 			}
 		}
@@ -415,37 +478,37 @@ func Run(ctx context.Context, cfg Config, c *circuit.Circuit, h core.Heuristic) 
 			co.metrics.JournalBytes.Set(co.jw.Bytes())
 		}
 	}
+	var pending []*job
 	for _, j := range jobs {
 		if j.done {
 			co.events.add(EvStoreHit, "", j.name, "served from result store",
 				map[string]int64{"selected": j.final.Selected, "segments": j.final.Segments})
+		} else {
+			pending = append(pending, j)
 		}
 	}
-	return co.run(ctx, start)
+	return co.run(ctx, start, deal(pending, len(cfg.Workers)))
 }
 
-// run drives the coordinator from built jobs to merged result: the
+// run drives the coordinator from dealt groups to merged result: the
 // shared back half of Run and Resume.
-func (co *coordinator) run(ctx context.Context, start time.Time) (*Result, error) {
+func (co *coordinator) run(ctx context.Context, start time.Time, groups []*group) (*Result, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	co.ctx = runCtx
 	co.cancel = cancel
 
 	pending := 0
-	for _, j := range co.jobs {
-		if !j.done {
-			pending++
-		}
+	for _, g := range groups {
+		pending += len(g.jobs)
 	}
 	co.remaining.Store(int64(pending))
 	if pending == 0 {
 		close(co.allDone)
 	}
-	for _, j := range co.jobs {
-		if !j.done {
-			co.queue <- j
-		}
+	co.queue = make(chan *group, len(groups))
+	for _, g := range groups {
+		co.queue <- g
 	}
 	co.live.Store(int64(len(co.cfg.Workers)))
 	for i, w := range co.cfg.Workers {
@@ -483,27 +546,27 @@ func (co *coordinator) fail(err error) {
 	})
 }
 
-// jobDone retires one cone; the last one ends the run.
-func (co *coordinator) jobDone() {
-	if co.remaining.Add(-1) == 0 {
+// groupDone retires a group's cones; the last one ends the run.
+func (co *coordinator) groupDone(g *group) {
+	if co.remaining.Add(-int64(len(g.jobs))) == 0 {
 		close(co.allDone)
 	}
 }
 
-// requeue puts a cone back on the queue. Each job has exactly one
+// requeue puts a group back on the queue. Each group has exactly one
 // ownership token (queued, or held by the dispatching loop), so the
 // buffered channel can never overflow.
-func (co *coordinator) requeue(j *job) {
+func (co *coordinator) requeue(g *group) {
 	select {
-	case co.queue <- j:
+	case co.queue <- g:
 	default:
 		// Unreachable while the single-ownership invariant holds; failing
 		// loudly beats deadlocking silently.
-		co.fail(fmt.Errorf("fleet: requeue overflow on cone %s", j.name))
+		co.fail(fmt.Errorf("fleet: requeue overflow on cones %s", g.label))
 	}
 }
 
-// workerLoop owns one worker: it pulls cones, dispatches them, trips
+// workerLoop owns one worker: it pulls groups, dispatches them, trips
 // the circuit breaker after FailThreshold consecutive failures, probes
 // the worker back to health or declares it dead.
 func (co *coordinator) workerLoop(worker string, seed int) {
@@ -517,8 +580,8 @@ func (co *coordinator) workerLoop(worker string, seed int) {
 			return
 		case <-co.ctx.Done():
 			return
-		case j := <-co.queue:
-			if co.dispatch(worker, j) {
+		case g := <-co.queue:
+			if co.dispatch(worker, g) {
 				consec = 0
 				continue
 			}
@@ -550,45 +613,48 @@ func (co *coordinator) workerLoop(worker string, seed int) {
 	}
 }
 
-// dispatch runs one cone slice on worker and reports whether the worker
-// behaved (true resets the failure streak). The cone itself is always
-// accounted for exactly once: completed, requeued with progress, or
-// requeued after reclaim.
-func (co *coordinator) dispatch(worker string, j *job) bool {
-	j.mu.Lock()
-	if j.done {
-		j.mu.Unlock()
+// dispatch runs one slice of group g on worker and reports whether the
+// worker behaved (true resets the failure streak). The group itself is
+// always accounted for exactly once: completed, requeued with progress,
+// or requeued after reclaim.
+func (co *coordinator) dispatch(worker string, g *group) bool {
+	g.mu.Lock()
+	if g.done {
+		g.mu.Unlock()
 		return true
 	}
-	epoch := j.epoch
+	epoch := g.epoch
 	req := serve.ConeRequest{
-		Bench:      j.bench,
-		Name:       j.name,
+		Bench:      co.bench,
+		Name:       co.meta.circuit,
+		Outputs:    g.outputs,
 		Criterion:  co.criterion,
-		Sort:       j.sort,
-		Checkpoint: j.checkpoint,
+		Sort:       co.sort,
+		Checkpoint: g.checkpoint,
 		SliceMS:    co.cfg.SliceMS,
 		Workers:    co.cfg.EnumWorkers,
 	}
-	j.mu.Unlock()
+	g.mu.Unlock()
 
-	// The lease is journaled before the dispatch leaves: recovery reads
+	// The leases are journaled before the dispatch leaves: recovery reads
 	// the (cone, epoch) pairs as a floor for its own epochs, and the
 	// audit requires every merged answer to have had one.
-	if !co.journalAppend(journal.KindLease, leaseRecord{
-		Cone: j.idx, Name: j.name, Worker: worker, Epoch: epoch,
-		DeadlineMS: time.Now().Add(co.cfg.DispatchTimeout).UnixMilli(),
-	}) {
+	deadline := time.Now().Add(co.cfg.DispatchTimeout).UnixMilli()
+	leases := make([]any, len(g.jobs))
+	for i, j := range g.jobs {
+		leases[i] = leaseRecord{Cone: j.idx, Name: j.name, Worker: worker, Epoch: epoch, DeadlineMS: deadline}
+	}
+	if !co.journalAppend(journal.KindLease, leases...) {
 		return false
 	}
 	if co.killCheck("mid-dispatch") {
-		// Died with a lease journaled but the dispatch never sent: the
-		// recovered coordinator re-leases the cone under a higher epoch.
+		// Died with the leases journaled but the dispatch never sent: the
+		// recovered coordinator re-leases the cones under a higher epoch.
 		return false
 	}
 
 	co.stats.dispatches.Add(1)
-	co.events.add(EvDispatch, worker, j.name, "", nil)
+	co.events.add(EvDispatch, worker, g.label, "", map[string]int64{"cones": int64(len(g.jobs))})
 
 	// The dispatch runs detached so an arbitrarily late reply cannot
 	// wedge the loop; the reply channel is buffered, so the goroutine
@@ -610,26 +676,30 @@ func (co *coordinator) dispatch(worker string, j *job) bool {
 	select {
 	case r := <-ch:
 		if r.err != nil {
-			return co.dispatchError(worker, j, epoch, r.err)
+			return co.dispatchError(worker, g, epoch, r.err)
 		}
-		return co.apply(worker, j, epoch, r.ans)
+		return co.apply(worker, g, epoch, r.ans)
 	case <-timer.C:
 		// Abandon: advance the epoch so the in-flight dispatch's eventual
-		// reply is provably stale, reclaim the cone, and leave a reaper
+		// reply is provably stale, reclaim the group, and leave a reaper
 		// to log the zombie.
-		j.mu.Lock()
-		j.epoch++
-		bumped := j.epoch
-		j.mu.Unlock()
+		g.mu.Lock()
+		g.epoch++
+		bumped := g.epoch
+		g.mu.Unlock()
 		// Bump-then-journal is safe here (unlike every other record, which
 		// flushes before its side effect): epochs only gate liveness inside
 		// this coordinator's life, and recovery re-bumps past the journaled
 		// maximum regardless, so a crash between the bump and the append
 		// cannot admit a zombie.
-		co.journalAppend(journal.KindEpoch, epochRecord{Cone: j.idx, Epoch: bumped})
+		epochs := make([]any, len(g.jobs))
+		for i, j := range g.jobs {
+			epochs[i] = epochRecord{Cone: j.idx, Epoch: bumped}
+		}
+		co.journalAppend(journal.KindEpoch, epochs...)
 		co.stats.abandoned.Add(1)
-		co.events.add(EvAbandon, worker, j.name, co.cfg.DispatchTimeout.String(), nil)
-		co.requeue(j)
+		co.events.add(EvAbandon, worker, g.label, co.cfg.DispatchTimeout.String(), nil)
+		co.requeue(g)
 		co.bgWG.Add(1)
 		go func() {
 			defer co.bgWG.Done()
@@ -639,7 +709,7 @@ func (co *coordinator) dispatch(worker string, j *job) bool {
 			if r.err != nil {
 				detail = "late error: " + r.err.Error()
 			}
-			co.events.add(EvZombie, worker, j.name, detail, nil)
+			co.events.add(EvZombie, worker, g.label, detail, nil)
 		}()
 		return false
 	case <-co.ctx.Done():
@@ -649,110 +719,131 @@ func (co *coordinator) dispatch(worker string, j *job) bool {
 
 // apply accounts one answered dispatch. The epoch check discards
 // replies from abandoned dispatches; the done check makes completion
-// at-most-once even if a cone was ever dispatched twice.
-func (co *coordinator) apply(worker string, j *job, epoch uint64, ans *serve.ConeAnswer) bool {
-	j.mu.Lock()
-	if j.done || j.epoch != epoch {
-		j.mu.Unlock()
+// at-most-once even if a group was ever dispatched twice.
+func (co *coordinator) apply(worker string, g *group, epoch uint64, ans *serve.ConeAnswer) bool {
+	g.mu.Lock()
+	if g.done || g.epoch != epoch {
+		g.mu.Unlock()
 		co.stats.zombies.Add(1)
-		co.events.add(EvZombie, worker, j.name, "stale epoch", nil)
+		co.events.add(EvZombie, worker, g.label, "stale epoch", nil)
 		return true
+	}
+	if len(ans.Cones) != len(g.jobs) {
+		g.mu.Unlock()
+		return co.dispatchError(worker, g, epoch, fmt.Errorf("%w: %d cone answers for a group of %d",
+			ErrCorruptResponse, len(ans.Cones), len(g.jobs)))
 	}
 	switch ans.Status {
 	case "complete":
-		// Flush the answer before marking the cone done: if we die between
-		// the append and the merge, recovery retires the cone from the
-		// journal; if we die before the append, recovery re-dispatches it.
-		// Either way the answer is merged exactly once. A fenced append
-		// (ErrStaleCoordinator) lands here too — the cone stays not-done,
-		// so a superseded primary can never double-merge it.
-		if !co.journalAppend(journal.KindAnswer, answerRecord{
-			Cone: j.idx, Name: j.name, Epoch: epoch,
-			Source: answerSourceWorker, Worker: worker, Answer: ans,
-		}) {
-			j.mu.Unlock()
+		// Flush the answers before marking the cones done: if we die
+		// between the append and the merge, recovery retires the cones
+		// from the journal; if we die before the append, recovery
+		// re-dispatches them. Either way each answer is merged exactly
+		// once. A fenced append (ErrStaleCoordinator) lands here too — the
+		// cones stay not-done, so a superseded primary can never
+		// double-merge them.
+		recs := make([]any, len(g.jobs))
+		for i, j := range g.jobs {
+			a := ans.Cones[i]
+			if a == nil || a.Status != "complete" || !a.Verify() {
+				g.mu.Unlock()
+				return co.dispatchError(worker, g, epoch, fmt.Errorf("%w: cone %s answer incomplete or unsealed", ErrCorruptResponse, j.name))
+			}
+			recs[i] = answerRecord{
+				Cone: j.idx, Name: j.name, Epoch: epoch,
+				Source: answerSourceWorker, Worker: worker, Answer: a,
+			}
+		}
+		if !co.journalAppend(journal.KindAnswer, recs...) {
+			g.mu.Unlock()
 			return false
 		}
 		if co.killCheck("mid-merge") {
-			j.mu.Unlock()
+			g.mu.Unlock()
 			return false
 		}
-		j.done = true
-		j.final = ans
-		j.slices++
-		j.mu.Unlock()
-		co.events.add(EvComplete, worker, j.name, fmt.Sprintf("selected=%d rd=%s", ans.Selected, ans.RD),
-			map[string]int64{"selected": ans.Selected, "segments": ans.Segments, "pruned": ans.Pruned})
-		if co.cfg.Store != nil && j.storeKey != "" {
-			// Best effort: a lost write costs the next run dispatches, not
-			// correctness.
-			if err := co.cfg.Store.PutCone(j.storeKey, &store.ConeRecord{
-				Cone:       j.name,
-				TotalPaths: ans.TotalPaths,
-				Selected:   ans.Selected,
-				RD:         ans.RD,
-				Segments:   ans.Segments,
-				Pruned:     ans.Pruned,
-			}); err != nil {
-				co.events.add(EvFailure, worker, j.name, "store write: "+err.Error(), nil)
+		g.done = true
+		g.slices++
+		for i, j := range g.jobs {
+			j.done, j.final = true, ans.Cones[i]
+			j.slices, j.restarts = g.slices, g.restarts
+		}
+		g.mu.Unlock()
+		for _, j := range g.jobs {
+			a := j.final
+			co.events.add(EvComplete, worker, j.name, fmt.Sprintf("selected=%d rd=%s", a.Selected, a.RD),
+				map[string]int64{"selected": a.Selected, "segments": a.Segments, "pruned": a.Pruned})
+			if co.cfg.Store != nil && j.storeKey != "" && co.writer[j.storeKey] == j.idx {
+				// Best effort: a lost write costs the next run dispatches, not
+				// correctness.
+				if err := co.cfg.Store.PutCone(j.storeKey, &store.ConeRecord{
+					Cone:       j.name,
+					TotalPaths: a.TotalPaths,
+					Selected:   a.Selected,
+					RD:         a.RD,
+					Segments:   a.Segments,
+					Pruned:     a.Pruned,
+				}); err != nil {
+					co.events.add(EvFailure, worker, j.name, "store write: "+err.Error(), nil)
+				}
 			}
 		}
-		co.jobDone()
+		co.groupDone(g)
 		return true
 	case "deadline", "canceled":
 		if len(ans.Checkpoint) == 0 {
-			j.mu.Unlock()
-			return co.dispatchError(worker, j, epoch, fmt.Errorf("%w: interrupted slice without checkpoint", ErrCorruptResponse))
+			g.mu.Unlock()
+			return co.dispatchError(worker, g, epoch, fmt.Errorf("%w: interrupted slice without checkpoint", ErrCorruptResponse))
 		}
 		if !co.journalAppend(journal.KindSlice, sliceRecord{
-			Cone: j.idx, Epoch: epoch, Checkpoint: ans.Checkpoint,
+			Cones: g.outputs, Epoch: epoch, Checkpoint: ans.Checkpoint,
 		}) {
-			j.mu.Unlock()
+			g.mu.Unlock()
 			return false
 		}
-		j.checkpoint = ans.Checkpoint
-		j.slices++
-		j.mu.Unlock()
+		g.checkpoint = ans.Checkpoint
+		g.slices++
+		g.mu.Unlock()
 		co.stats.slices.Add(1)
-		co.events.add(EvSlice, worker, j.name, "checkpoint streamed",
+		co.events.add(EvSlice, worker, g.label, "checkpoint streamed",
 			map[string]int64{"selected": ans.Selected, "segments": ans.Segments, "pruned": ans.Pruned})
-		co.requeue(j)
+		co.requeue(g)
 		return true
 	default:
-		j.mu.Unlock()
-		return co.dispatchError(worker, j, epoch, fmt.Errorf("%w: unknown slice status %q", ErrCorruptResponse, ans.Status))
+		g.mu.Unlock()
+		return co.dispatchError(worker, g, epoch, fmt.Errorf("%w: unknown slice status %q", ErrCorruptResponse, ans.Status))
 	}
 }
 
-// dispatchError reclaims the cone after a failed dispatch and picks the
-// recovery: 422 drops the checkpoint and restarts the cone, other 4xx
-// is a permanent misconfiguration that fails the run, everything else
-// (network, 429, 5xx, corruption) is transient and counts against the
-// worker's breaker.
-func (co *coordinator) dispatchError(worker string, j *job, epoch uint64, err error) bool {
+// dispatchError reclaims the group after a failed dispatch and picks
+// the recovery: 422 drops the checkpoint and restarts the group, other
+// 4xx is a permanent misconfiguration that fails the run, everything
+// else (network, 429, 5xx, corruption) is transient and counts against
+// the worker's breaker.
+func (co *coordinator) dispatchError(worker string, g *group, epoch uint64, err error) bool {
 	var remote *RemoteError
 	if errors.As(err, &remote) {
 		switch {
 		case remote.Code == 422:
-			j.mu.Lock()
-			if !j.done && j.epoch == epoch {
-				j.checkpoint = nil
-				j.restarts++
+			g.mu.Lock()
+			if !g.done && g.epoch == epoch {
+				g.checkpoint = nil
+				g.restarts++
 			}
-			j.mu.Unlock()
+			g.mu.Unlock()
 			co.stats.restarts.Add(1)
-			co.events.add(EvRestart, worker, j.name, err.Error(), nil)
-			co.requeue(j)
+			co.events.add(EvRestart, worker, g.label, err.Error(), nil)
+			co.requeue(g)
 			return true // the worker is healthy; it is our checkpoint that was bad
 		case remote.Code >= 400 && remote.Code < 500 && remote.Code != 429:
-			co.fail(fmt.Errorf("fleet: cone %s permanently rejected: %w", j.name, err))
-			co.requeue(j)
+			co.fail(fmt.Errorf("fleet: cones %s permanently rejected: %w", g.label, err))
+			co.requeue(g)
 			return false
 		}
 	}
 	co.stats.failures.Add(1)
-	co.events.add(EvFailure, worker, j.name, err.Error(), nil)
-	co.requeue(j)
+	co.events.add(EvFailure, worker, g.label, err.Error(), nil)
+	co.requeue(g)
 	return false
 }
 
@@ -871,27 +962,6 @@ func storedConeAnswer(st *store.Store, key, name string, cr core.Criterion) *ser
 	}
 	ans.Seal()
 	return ans
-}
-
-// globalSort computes the whole-circuit input sort h prescribes — the
-// one sort every cone's projection derives from.
-func globalSort(c *circuit.Circuit, h core.Heuristic) (circuit.InputSort, error) {
-	switch h {
-	case core.Heuristic1:
-		return core.Heuristic1Sort(c), nil
-	case core.Heuristic2, core.Heuristic2Inverse:
-		s, _, _, err := core.Heuristic2SortWorkers(c, 0)
-		if err != nil {
-			return circuit.InputSort{}, err
-		}
-		if h == core.Heuristic2Inverse {
-			s = s.Inverse()
-		}
-		return s, nil
-	case core.HeuristicPinOrder:
-		return circuit.PinOrderSort(c), nil
-	}
-	return circuit.InputSort{}, fmt.Errorf("fleet: heuristic %v has no input sort", h)
 }
 
 // addDecimal folds a worker's decimal counter into sum.

@@ -2,10 +2,15 @@ package fleet
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"rdfault/internal/analysis"
+	"rdfault/internal/circuit"
 	"rdfault/internal/core"
+	"rdfault/internal/faultinject"
+	"rdfault/internal/fleet/journal"
 	"rdfault/internal/gen"
 	"rdfault/internal/retry"
 	"rdfault/internal/serve"
@@ -113,30 +118,37 @@ func TestFleetHeuristicsAgreeWithSingleProcess(t *testing.T) {
 	}
 }
 
-// A paper-example smoke check that also pins the event log's shape: a
-// clean run logs exactly one dispatch and one completion per cone.
+// A smoke check that also pins the event log's shape: a clean run logs
+// exactly one dispatch per group (one group per worker) and one
+// completion per cone.
 func TestFleetCleanRunEventLog(t *testing.T) {
-	c := gen.PaperExample()
-	pool := newPool(t, 1)
-	res, err := Run(context.Background(), testConfig(pool, 0), c, core.Heuristic2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dispatches, completes int
-	for _, ev := range res.Events {
-		switch ev.Kind {
-		case EvDispatch:
-			dispatches++
-		case EvComplete:
-			completes++
+	for _, tc := range []struct {
+		c       *circuit.Circuit
+		workers int
+	}{{gen.PaperExample(), 1}, {gen.RippleAdder(4, gen.XorNAND), 2}} {
+		c := tc.c
+		pool := newPool(t, tc.workers)
+		res, err := Run(context.Background(), testConfig(pool, 0), c, core.Heuristic2)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	cones := len(c.Outputs())
-	if dispatches != cones || completes != cones {
-		t.Fatalf("clean run logged %d dispatches, %d completions; want %d each", dispatches, completes, cones)
-	}
-	if res.Stats.Failures != 0 || res.Stats.DeadWorkers != 0 || res.Stats.ZombieDiscards != 0 {
-		t.Fatalf("clean run reported faults: %+v", res.Stats)
+		var dispatches, completes int
+		for _, ev := range res.Events {
+			switch ev.Kind {
+			case EvDispatch:
+				dispatches++
+			case EvComplete:
+				completes++
+			}
+		}
+		cones, groups := len(c.Outputs()), min(tc.workers, len(c.Outputs()))
+		if dispatches != groups || completes != cones || res.Stats.Dispatches != int64(groups) {
+			t.Fatalf("%s: clean run logged %d dispatches (stats %d), %d completions; want %d and %d",
+				c.Name(), dispatches, res.Stats.Dispatches, completes, groups, cones)
+		}
+		if res.Stats.Failures != 0 || res.Stats.DeadWorkers != 0 || res.Stats.ZombieDiscards != 0 {
+			t.Fatalf("clean run reported faults: %+v", res.Stats)
+		}
 	}
 }
 
@@ -167,5 +179,58 @@ func TestFleetPerConeOrderIsOutputsOrder(t *testing.T) {
 func TestFleetNoWorkersConfigured(t *testing.T) {
 	if _, err := Run(context.Background(), Config{Transport: &HTTPTransport{}}, gen.PaperExample(), core.Heuristic1); err == nil {
 		t.Fatal("Run accepted an empty worker list")
+	}
+}
+
+// The coordinator releases the analysis it builds for the circuit, and
+// every worker the analysis of each netlist it parses, so a stream of
+// jobs does not fill the analysis registry.
+func TestFleetRunReleasesAnalysis(t *testing.T) {
+	pool := newPool(t, 2)
+	before := analysis.Len()
+	for i := 0; i < 20; i++ {
+		if _, err := Run(context.Background(), testConfig(pool, 0), gen.RippleAdder(4, gen.XorNAND), core.Heuristic1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := analysis.Len(); after != before {
+		t.Fatalf("analysis registry holds %d circuits after 20 runs, %d before", after, before)
+	}
+}
+
+// A clean journaled job appends its admission, one lease append and one
+// answer append per group, and its seal: 2·groups + 2 appends (each one
+// write and one fsync) for 2·cones + 2 records.
+func TestFleetJournalAppendsPerGroup(t *testing.T) {
+	c := gen.RippleAdder(6, gen.XorNAND)
+	cones := len(c.Outputs())
+	for _, workers := range []int{1, 2, 4} {
+		pool := newPool(t, workers)
+		cfg := testConfig(pool, 0)
+		path := filepath.Join(t.TempDir(), "job.journal")
+		jw, err := journal.Create(path, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Journal = jw
+		plan := faultinject.NewPlan(faultinject.Rule{
+			Point: faultinject.PointCoordJournalLatency, Kind: faultinject.KindSleep, // zero delay: counts appends
+		})
+		restore := faultinject.Activate(plan)
+		_, err = Run(context.Background(), cfg, c, core.Heuristic1)
+		restore()
+		jw.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := journal.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups := min(workers, cones)
+		if got := plan.Fired(faultinject.PointCoordJournalLatency); got != uint64(2*groups+2) || len(recs) != 2*cones+2 {
+			t.Fatalf("%d workers: %d appends of %d records, want %d appends of %d",
+				workers, got, len(recs), 2*groups+2, 2*cones+2)
+		}
 	}
 }

@@ -18,7 +18,8 @@ func FuzzJournalReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	for i, kind := range []string{KindAdmit, KindLease, KindAnswer, KindSeal} {
-		if err := w.Append(kind, map[string]int{"n": i}); err != nil {
+		// Leases and answers go in as a group's multi-payload append.
+		if err := w.Append(kind, map[string]int{"n": i}, map[string]int{"n": i + 10}); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -30,7 +31,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte(""))
 	f.Add([]byte("\n\n\n"))
-	f.Add([]byte(`{"v":"rdjournal/v1","seq":1,"term":1,"kind":"admit","sum":"bad"}` + "\n"))
+	f.Add([]byte(`{"v":"rdjournal/v2","seq":1,"term":1,"kind":"admit","sum":"bad"}` + "\n"))
 	f.Add(append(seed[:len(seed)/2], "garbage{{{"...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

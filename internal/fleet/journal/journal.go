@@ -34,21 +34,23 @@ import (
 // FormatVersion stamps every journal record. A reader that finds a
 // different stamp treats the record as corrupt (typed) rather than
 // guessing at an old layout.
-const FormatVersion = "rdjournal/v1"
+const FormatVersion = "rdjournal/v2"
 
 // Record kinds, in the order a clean run writes them. The payload
 // schemas live with the coordinator (package fleet); the journal layer
 // frames, checksums and fences records without interpreting them.
 const (
 	// KindAdmit: the job was admitted — circuit, heuristic, criterion,
-	// and every cone's netlist, projected input sort and store key. The
-	// one record recovery cannot do without.
+	// the netlist and global input sort every dispatch ships, and every
+	// cone's name and store key. The one record recovery cannot do
+	// without.
 	KindAdmit = "admit"
 	// KindLease: a cone was leased to a worker under an epoch, with a
 	// deadline. Journaled before the dispatch leaves.
 	KindLease = "lease"
-	// KindSlice: a worker streamed an interrupted slice's checkpoint.
-	// Journaled before the coordinator adopts the checkpoint.
+	// KindSlice: a worker streamed an interrupted slice's checkpoint,
+	// which covers the walk of a group of cones. Journaled before the
+	// coordinator adopts the checkpoint.
 	KindSlice = "slice"
 	// KindEpoch: a cone's epoch advanced (an abandoned dispatch); any
 	// reply under an older epoch is provably a zombie.
@@ -246,18 +248,26 @@ func (w *Writer) Bytes() int64 {
 	return w.bytes
 }
 
-// Append journals one record and fsyncs it before returning — only
-// then may the caller perform the side effect the record describes. A
+// Append journals one record per payload, all of one kind, and makes
+// them durable with one write and one fsync before returning — only
+// then may the caller perform the side effect the records describe. A
 // fenced term fails typed with ErrStaleCoordinator and writes nothing.
+// The records take consecutive sequence numbers; a crash mid-write
+// leaves a torn tail that Replay cuts at the first damaged record, so
+// an append is durable either as a prefix of its records or not at all.
 //
-// Fault-injection points: coord.journal.latency (KindSleep wedges the
-// append, KindError fails it) and coord.journal.corrupt (KindCorrupt
-// rots the line on its way to disk; a later replay fails typed at this
-// record's offset).
-func (w *Writer) Append(kind string, payload any) error {
-	pb, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("journal: encode %s payload: %w", kind, err)
+// Fault-injection points: coord.journal.latency, once per append
+// (KindSleep wedges it, KindError fails it), and coord.journal.corrupt,
+// once per record (KindCorrupt rots the line on its way to disk; a
+// later replay fails typed at that record's offset).
+func (w *Writer) Append(kind string, payloads ...any) error {
+	pbs := make([][]byte, len(payloads))
+	for i, p := range payloads {
+		pb, err := json.Marshal(p)
+		if err != nil {
+			return fmt.Errorf("journal: encode %s payload: %w", kind, err)
+		}
+		pbs[i] = pb
 	}
 
 	w.mu.Lock()
@@ -270,29 +280,36 @@ func (w *Writer) Append(kind string, payload any) error {
 	if err := faultinject.Fire(faultinject.PointCoordJournalLatency); err != nil {
 		return fmt.Errorf("journal: append %s: %w", kind, err)
 	}
-	rec := Record{Version: FormatVersion, Seq: w.seq + 1, Term: w.term, Kind: kind, Payload: pb}
-	rec.seal()
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("journal: encode %s: %w", kind, err)
+	lines := make([][]byte, len(pbs))
+	var buf []byte
+	for i, pb := range pbs {
+		rec := Record{Version: FormatVersion, Seq: w.seq + uint64(i) + 1, Term: w.term, Kind: kind, Payload: pb}
+		rec.seal()
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("journal: encode %s: %w", kind, err)
+		}
+		lines[i] = faultinject.Corrupt(faultinject.PointCoordJournalCorrupt, line)
+		buf = append(append(buf, lines[i]...), '\n')
 	}
-	line = faultinject.Corrupt(faultinject.PointCoordJournalCorrupt, line)
-	if _, err := w.f.Write(append(line, '\n')); err != nil {
+	if _, err := w.f.Write(buf); err != nil {
 		return fmt.Errorf("journal: write %s: %w", kind, err)
 	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("journal: sync %s: %w", kind, err)
 	}
-	w.seq = rec.Seq
-	w.bytes += int64(len(line)) + 1
+	w.seq += uint64(len(lines))
+	w.bytes += int64(len(buf))
 
 	if w.Ship != nil {
-		if err := w.Ship(w.term, line); err != nil {
-			if errors.Is(err, ErrStaleCoordinator) {
-				return fmt.Errorf("journal: ship %s: %w", kind, err)
-			}
-			if w.OnShipError != nil {
-				w.OnShipError(err)
+		for _, line := range lines {
+			if err := w.Ship(w.term, line); err != nil {
+				if errors.Is(err, ErrStaleCoordinator) {
+					return fmt.Errorf("journal: ship %s: %w", kind, err)
+				}
+				if w.OnShipError != nil {
+					w.OnShipError(err)
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -345,5 +346,95 @@ func TestJournalCorruptInjectionFailsReplayTyped(t *testing.T) {
 	}
 	if len(recs) != 1 {
 		t.Fatalf("good prefix = %d records, want 1", len(recs))
+	}
+}
+
+// A multi-payload append writes one record per payload, with
+// consecutive sequence numbers, in one write and one fsync: the
+// once-per-append latency point is reached once, the shipping hook once
+// per line.
+func TestAppendManyPayloadsOneWrite(t *testing.T) {
+	plan := faultinject.NewPlan(faultinject.Rule{
+		Point: faultinject.PointCoordJournalLatency, Kind: faultinject.KindSleep, // zero delay: counts appends
+	})
+	restore := faultinject.Activate(plan)
+	defer restore()
+
+	path := tempJournal(t)
+	w, err := Create(path, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shipped []uint64
+	w.Ship = func(_ uint64, line []byte) error {
+		rec, err := ValidateLine(line)
+		if err != nil {
+			t.Fatalf("shipped line invalid: %v", err)
+		}
+		shipped = append(shipped, rec.Seq)
+		return nil
+	}
+	if err := w.Append(KindAdmit, notePayload{Note: "admit"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(KindLease, notePayload{N: 0}, notePayload{N: 1}, notePayload{N: 2}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if got := plan.Fired(faultinject.PointCoordJournalLatency); got != 2 {
+		t.Fatalf("%d writes for 2 appends", got)
+	}
+	if w.Seq() != 4 || len(shipped) != 4 || shipped[3] != 4 {
+		t.Fatalf("seq %d, shipped %v; want 4 records shipped one by one", w.Seq(), shipped)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(raw), "\n"); lines != 4 || int64(len(raw)) != w.Bytes() {
+		t.Fatalf("%d lines, %d bytes (writer counted %d); want 4 lines", lines, len(raw), w.Bytes())
+	}
+	recs, err := ReadFile(path)
+	if err != nil || len(recs) != 4 {
+		t.Fatalf("replay = %d records, %v", len(recs), err)
+	}
+	for i, rec := range recs[1:] {
+		var p notePayload
+		if rec.Kind != KindLease || rec.Seq != uint64(i+2) || json.Unmarshal(rec.Payload, &p) != nil || p.N != i {
+			t.Fatalf("record %d = %+v", i+2, rec)
+		}
+	}
+}
+
+// A write torn inside a multi-payload append replays the records it
+// completed and fails typed at the first damaged one.
+func TestTornTailInsideMultiPayloadAppend(t *testing.T) {
+	path := tempJournal(t)
+	w, err := Create(path, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(KindAdmit, notePayload{Note: "admit"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(KindAnswer, notePayload{N: 0}, notePayload{N: 1}, notePayload{N: 2}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	third := int64(1 + indexNth(raw, '\n', 2)) // the append's third record
+	if err := os.WriteFile(path, raw[:third+10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadFile(path)
+	var ce *CorruptError
+	if !errors.As(err, &ce) || ce.Offset != third {
+		t.Fatalf("torn append replayed with %v, want a *CorruptError at byte %d", err, third)
+	}
+	if len(recs) != 3 || recs[2].Kind != KindAnswer || recs[2].Seq != 3 {
+		t.Fatalf("intact prefix = %+v, want admit and two answers", recs)
 	}
 }

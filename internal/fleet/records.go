@@ -9,34 +9,37 @@ import (
 // Journal payload schemas — what each journal.Kind* record carries.
 // These are the coordinator's durable state: recovery rebuilds every
 // job from an admit record plus the answer/slice/epoch records that
-// follow it, consulting nothing else. Fields are versioned only by the
-// journal's format stamp; additive evolution is fine (unknown payload
-// fields are ignored on replay), renames are not.
+// follow it, consulting nothing else. Lease, epoch and answer records
+// are per cone; a group's records of one kind go in one append. Fields
+// are versioned only by the journal's format stamp; additive evolution
+// is fine (unknown payload fields are ignored on replay), renames are
+// not.
 
-// admitCone is one cone's immutable dispatch inputs: everything a
-// worker needs, captured at admission so recovery never has to re-read
-// the circuit or recompute the global sort.
+// admitCone is one cone of the admitted job: its name and store key.
+// A cone is addressed by its index, which is its position in the
+// circuit's output list.
 type admitCone struct {
 	Name string `json:"name"`
-	// Bench is the cone's netlist in bench format.
-	Bench string `json:"bench"`
-	// Sort is the global input sort projected onto this cone (nil for
-	// the FS criterion, which needs none).
-	Sort map[string][]int `json:"sort,omitempty"`
 	// StoreKey addresses the cone in the result store ("" without one).
 	StoreKey string `json:"store_key,omitempty"`
 }
 
 // admitRecord journals job admission: the circuit, heuristic,
-// criterion, slicing policy and every cone with its projected sort.
-// Written first, before any dispatch; a journal without one holds no
-// resumable job.
+// criterion, slicing policy, the netlist and global sort every dispatch
+// ships, and every cone. Written first, before any dispatch; a journal
+// without one holds no resumable job. Recovery never has to re-read the
+// circuit or recompute the sort.
 type admitRecord struct {
-	Circuit   string      `json:"circuit"`
-	Heuristic string      `json:"heuristic"`
-	Criterion string      `json:"criterion"`
-	SliceMS   int64       `json:"slice_ms,omitempty"`
-	Cones     []admitCone `json:"cones"`
+	Circuit   string `json:"circuit"`
+	Heuristic string `json:"heuristic"`
+	Criterion string `json:"criterion"`
+	SliceMS   int64  `json:"slice_ms,omitempty"`
+	// Bench is the circuit's netlist in bench format.
+	Bench string `json:"bench"`
+	// Sort is the global input sort keyed by gate name (nil for the FS
+	// criterion, which needs none).
+	Sort  map[string][]int `json:"sort,omitempty"`
+	Cones []admitCone      `json:"cones"`
 }
 
 // leaseRecord journals cone ownership: worker, epoch and deadline,
@@ -54,10 +57,12 @@ type leaseRecord struct {
 }
 
 // sliceRecord journals an interrupted slice's checkpoint, flushed
-// before the coordinator adopts it; recovery resumes the cone from its
-// last journaled checkpoint instead of from scratch.
+// before the coordinator adopts it. It is the one record that names a
+// group, because one checkpoint covers the walk of all its cones:
+// recovery resumes the group from its last journaled checkpoint, instead
+// of from scratch, when none of its cones has an answer.
 type sliceRecord struct {
-	Cone       int             `json:"cone"`
+	Cones      []int           `json:"cones"`
 	Epoch      uint64          `json:"epoch"`
 	Checkpoint json.RawMessage `json:"checkpoint"`
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"rdfault/internal/core"
@@ -19,17 +20,18 @@ import (
 // fresh run.
 var ErrNoJournaledJob = errors.New("fleet: journal holds no admitted job")
 
-// journalState is what replaying a journal yields: the admitted job and
-// the per-cone high-water marks of everything that happened to it.
+// journalState is what replaying a journal yields: the admitted job,
+// the per-cone high-water marks of everything that happened to it, and
+// the group checkpoints in journal order.
 type journalState struct {
-	admit       *admitRecord
-	answers     map[int]*serve.ConeAnswer
-	answerSrc   map[int]string
-	checkpoints map[int]json.RawMessage
-	epochs      map[int]uint64
-	sealed      bool
-	maxSeq      uint64
-	maxTerm     uint64
+	admit     *admitRecord
+	answers   map[int]*serve.ConeAnswer
+	answerSrc map[int]string
+	slices    []sliceRecord
+	epochs    map[int]uint64
+	sealed    bool
+	maxSeq    uint64
+	maxTerm   uint64
 }
 
 // replayJournal folds validated records into recovery state. Records
@@ -40,10 +42,9 @@ type journalState struct {
 // and merge-mark, and both describe the same enumeration.
 func replayJournal(recs []journal.Record) *journalState {
 	st := &journalState{
-		answers:     map[int]*serve.ConeAnswer{},
-		answerSrc:   map[int]string{},
-		checkpoints: map[int]json.RawMessage{},
-		epochs:      map[int]uint64{},
+		answers:   map[int]*serve.ConeAnswer{},
+		answerSrc: map[int]string{},
+		epochs:    map[int]uint64{},
 	}
 	for _, rec := range recs {
 		if rec.Seq > st.maxSeq {
@@ -70,8 +71,8 @@ func replayJournal(recs []journal.Record) *journalState {
 			}
 		case journal.KindSlice:
 			var sr sliceRecord
-			if json.Unmarshal(rec.Payload, &sr) == nil && len(sr.Checkpoint) > 0 {
-				st.checkpoints[sr.Cone] = sr.Checkpoint
+			if json.Unmarshal(rec.Payload, &sr) == nil && len(sr.Checkpoint) > 0 && len(sr.Cones) > 0 {
+				st.slices = append(st.slices, sr)
 			}
 		case journal.KindAnswer:
 			var ar answerRecord
@@ -95,9 +96,10 @@ func replayJournal(recs []journal.Record) *journalState {
 // Resume rebuilds a run from its write-ahead journal and drives it to
 // completion — the recovery path for both a restarted coordinator and a
 // promoted standby. Only unretired cones are re-dispatched: cones with
-// a journaled answer merge as-is, cones with a journaled checkpoint
-// resume from it, and the merged counters are bit-identical to an
-// uninterrupted run.
+// a journaled answer merge as-is, a journaled group checkpoint resumes
+// when none of its group's cones has an answer, every other pending
+// cone is dealt into a fresh group, and the merged counters are
+// bit-identical to an uninterrupted run.
 //
 // A corrupt journal is replayed up to the corruption (typed
 // *journal.CorruptError, coord.journal.corrupt event), the rotten tail
@@ -156,38 +158,32 @@ func Resume(ctx context.Context, cfg Config, path string) (*Result, error) {
 	defer jw.Close()
 	cfg.Journal = jw
 
-	jobs := make([]*job, 0, len(st.admit.Cones))
+	jobs := make([]*job, len(st.admit.Cones))
 	retired, storeHits := 0, int64(0)
-	var storeAnswers []answerRecord
+	var storeAnswers []any
 	for i, ac := range st.admit.Cones {
-		j := &job{idx: i, name: ac.Name, bench: ac.Bench, sort: ac.Sort, storeKey: ac.StoreKey}
+		j := &job{idx: i, name: ac.Name, storeKey: ac.StoreKey}
 		switch {
 		case st.answers[i] != nil:
 			j.done = true
 			j.final = st.answers[i]
 			retired++
-		default:
-			// Start strictly above every journaled lease/epoch: any reply
-			// still in flight from the previous coordinator's dispatches is
-			// provably stale here too.
-			j.epoch = st.epochs[i] + 1
-			j.checkpoint = st.checkpoints[i]
-			if cfg.Store != nil && ac.StoreKey != "" {
-				if ans := storedConeAnswer(cfg.Store, ac.StoreKey, ac.Name, criterion); ans != nil {
-					j.done = true
-					j.final = ans
-					storeHits++
-					storeAnswers = append(storeAnswers, answerRecord{
-						Cone: i, Name: ac.Name, Source: answerSourceStore, Answer: ans,
-					})
-				}
+		case cfg.Store != nil && ac.StoreKey != "":
+			if ans := storedConeAnswer(cfg.Store, ac.StoreKey, ac.Name, criterion); ans != nil {
+				j.done = true
+				j.final = ans
+				storeHits++
+				storeAnswers = append(storeAnswers, answerRecord{
+					Cone: i, Name: ac.Name, Source: answerSourceStore, Answer: ans,
+				})
 			}
 		}
-		jobs = append(jobs, j)
+		jobs[i] = j
 	}
+	groups := resumeGroups(jobs, st, len(cfg.Workers))
 
-	co := newCoordinator(cfg, criterion.String(), jobs)
-	co.meta = runMeta{circuit: st.admit.Circuit, heuristic: st.admit.Heuristic}
+	co := newCoordinator(cfg, criterion.String(), runMeta{circuit: st.admit.Circuit, heuristic: st.admit.Heuristic},
+		st.admit.Bench, st.admit.Sort, jobs)
 	co.stats.retired.Store(int64(retired))
 	co.stats.storeHits.Store(storeHits)
 	if co.metrics != nil {
@@ -219,15 +215,60 @@ func Resume(ctx context.Context, cfg Config, path string) (*Result, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("fleet: journal takeover: %w", err)
 	}
-	for _, rec := range storeAnswers {
-		if err := jw.Append(journal.KindAnswer, rec); err != nil {
+	if len(storeAnswers) > 0 {
+		if err := jw.Append(journal.KindAnswer, storeAnswers...); err != nil {
 			return nil, fmt.Errorf("fleet: journal takeover: %w", err)
 		}
 	}
 	if co.metrics != nil {
 		co.metrics.JournalBytes.Set(jw.Bytes())
 	}
-	return co.run(ctx, start)
+	return co.run(ctx, start, groups)
+}
+
+// resumeGroups rebuilds the pending cones' groups: the latest journaled
+// checkpoint of a group none of whose cones is retired resumes that
+// group, and every other pending cone is dealt into a fresh group. Each
+// group starts strictly above every epoch journaled for its cones, so
+// any reply still in flight from the previous coordinator's dispatches
+// is provably stale here too.
+func resumeGroups(jobs []*job, st *journalState, workers int) []*group {
+	claimed := make([]bool, len(jobs))
+	var groups []*group
+	for k := len(st.slices) - 1; k >= 0; k-- {
+		sr := st.slices[k]
+		usable := true
+		for n, i := range sr.Cones {
+			if i < 0 || i >= len(jobs) || jobs[i].done || claimed[i] || slices.Contains(sr.Cones[:n], i) {
+				usable = false
+				break
+			}
+		}
+		if !usable {
+			continue
+		}
+		members := make([]*job, len(sr.Cones))
+		for n, i := range sr.Cones {
+			members[n] = jobs[i]
+			claimed[i] = true
+		}
+		g := newGroup(members)
+		g.checkpoint = sr.Checkpoint
+		groups = append(groups, g)
+	}
+	var rest []*job
+	for i, j := range jobs {
+		if !j.done && !claimed[i] {
+			rest = append(rest, j)
+		}
+	}
+	groups = append(groups, deal(rest, workers)...)
+	for _, g := range groups {
+		for _, j := range g.jobs {
+			g.epoch = max(g.epoch, st.epochs[j.idx]+1)
+		}
+	}
+	return groups
 }
 
 // parseCriterion maps the journaled wire name back to the enumeration

@@ -135,12 +135,23 @@ func TestFleetECODeltaDispatchesOnlyFreshCones(t *testing.T) {
 	}
 	// The adder's cones share logic, so the edit can move other cones'
 	// projected sorts — but at least one cone far from the edit must
-	// still be served from the store, and dispatches must shrink.
+	// still be served from the store, and fewer cones must be walked.
 	if warm.Stats.StoreHits == 0 {
 		t.Fatal("ECO run reused nothing")
 	}
-	if warm.Stats.Dispatches >= cold.Stats.Dispatches {
-		t.Fatalf("ECO run dispatched %d cones, cold run %d — store saved nothing",
-			warm.Stats.Dispatches, cold.Stats.Dispatches)
+	if w, c := conesWalked(warm), conesWalked(cold); w == 0 || w >= c || w+int(warm.Stats.StoreHits) != warm.Stats.Cones {
+		t.Fatalf("ECO run walked %d cones (%d from the store), cold run %d — store saved nothing",
+			w, warm.Stats.StoreHits, c)
 	}
+}
+
+// conesWalked counts the cones a worker answered in a run.
+func conesWalked(res *Result) int {
+	n := 0
+	for _, ev := range res.Events {
+		if ev.Kind == EvComplete {
+			n++
+		}
+	}
+	return n
 }

@@ -7,12 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/big"
 	"time"
 
+	"rdfault/internal/analysis"
 	"rdfault/internal/circuit"
 	"rdfault/internal/core"
 	"rdfault/internal/faultinject"
+	"rdfault/internal/store"
 )
 
 // ErrBadCheckpoint is the sentinel for a dispatch carrying a checkpoint
@@ -27,14 +28,23 @@ var ErrBadCheckpoint = errors.New("serve: unusable checkpoint")
 // fleet coordinator (POST /v1/cone). Unlike the job lane, which picks
 // its own input sort from a heuristic name, this lane takes the sort
 // explicitly — the coordinator computes one global σ on the full circuit
-// and projects it onto every cone, which is exactly what makes per-cone
+// and ships it with the netlist, which is exactly what makes per-cone
 // Selected/RD counters sum to the whole-circuit run.
+//
+// A request names a group of outputs; the worker walks them together in
+// one output-restricted enumeration (core.EnumerateCones) and answers
+// each output's cone counters separately.
 type ConeRequest struct {
-	// Bench is the cone netlist in .bench format.
+	// Bench is the netlist in .bench format.
 	Bench string `json:"bench"`
-	// Name labels the cone (it is also checkpoint-fingerprinted, so every
-	// dispatch of one cone must reuse the same name).
+	// Name labels the circuit (it is also checkpoint-fingerprinted, so
+	// every dispatch of one group must reuse the same name).
 	Name string `json:"name,omitempty"`
+	// Outputs are the requested outputs as positions in the parsed
+	// netlist's output list (the .bench format keeps the order of the
+	// outputs, not always their names). Empty means every output, so a
+	// one-output cone netlist asks for exactly its cone.
+	Outputs []int `json:"outputs,omitempty"`
 	// Criterion is "sigma^pi" (default) or "FS" (the FUS baseline, which
 	// uses no sort).
 	Criterion string `json:"criterion,omitempty"`
@@ -43,8 +53,9 @@ type ConeRequest struct {
 	Sort map[string][]int `json:"sort,omitempty"`
 	// Checkpoint, when present, resumes the slice from an earlier
 	// interrupted answer's Checkpoint field (opaque core checkpoint
-	// bytes). Counters are cumulative across the chain: the final
-	// complete answer carries the whole cone's tallies.
+	// bytes, bound to the same outputs). Counters are cumulative across
+	// the chain: the final complete answer carries the whole walk's
+	// tallies.
 	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
 	// SliceMS bounds this slice's wall clock; an expired slice is not an
 	// error but an interrupted answer carrying the next checkpoint
@@ -55,10 +66,14 @@ type ConeRequest struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// ConeAnswer reports one slice. Status "complete" carries the cone's
-// final counters; "deadline"/"canceled" carry the partial counters plus
-// the checkpoint that resumes them (on this worker or any other running
-// the same build — checkpoints are engine-transplantable).
+// ConeAnswer reports one slice. At top level it carries the walk's own
+// counters: Status "complete" with the final counters, or
+// "deadline"/"canceled" with the partial counters plus the checkpoint
+// that resumes them (on this worker or any other running the same
+// build — checkpoints are engine-transplantable). Cones holds one
+// answer per requested output, in request order, each sealed on its
+// own, with the same fields at cone granularity and Circuit naming the
+// cone "<circuit>.<output>".
 type ConeAnswer struct {
 	Status     string `json:"status"`
 	Circuit    string `json:"circuit"`
@@ -73,6 +88,7 @@ type ConeAnswer struct {
 	SATRejects int64           `json:"sat_rejects,omitempty"`
 	Resumed    bool            `json:"resumed,omitempty"`
 	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
+	Cones      []*ConeAnswer   `json:"cones,omitempty"`
 	DurationMS int64           `json:"duration_ms"`
 	// Sum is an end-to-end integrity checksum over every answer field
 	// except itself and DurationMS. A coordinator that receives an answer
@@ -144,6 +160,14 @@ func (s *Server) Cone(req ConeRequest) (*ConeAnswer, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every parse is a new circuit version nothing can look up again, so
+	// its analysis leaves the registry with the walk instead of crowding
+	// out circuits that are looked up again.
+	defer analysis.Drop(c)
+	outputs, err := requestedOutputs(c, req.Outputs)
+	if err != nil {
+		return nil, err
+	}
 	opt := core.Options{Workers: req.Workers}
 	if opt.Workers <= 0 {
 		opt.Workers = s.cfg.Workers
@@ -194,36 +218,29 @@ func (s *Server) Cone(req ConeRequest) (*ConeAnswer, error) {
 	defer func() { cancel(); <-watchDone }()
 	opt.Context = ctx
 
-	res, err := core.Enumerate(c, cr, opt)
+	cones, walk, err := core.EnumerateCones(c, cr, outputs, opt)
 	if err != nil {
-		// Enumerate's error return is reserved for invalid inputs; the only
-		// one reachable here is a checkpoint that fails fingerprint
-		// validation against the submitted circuit/sort.
+		// The outputs, sort and options were validated above; what is left
+		// is a checkpoint that fails validation against the submitted
+		// circuit, sort or outputs.
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
-	ans := &ConeAnswer{
-		Status:     res.Status.String(),
-		Circuit:    c.Name(),
-		Criterion:  cr.String(),
-		TotalPaths: res.Total.String(),
-		Selected:   res.Selected,
-		Segments:   res.Segments,
-		Pruned:     res.Pruned,
-		SATRejects: res.SATRejects,
-		Resumed:    opt.Checkpoint != nil,
-		DurationMS: time.Since(start).Milliseconds(),
+	ans := coneAnswer(walk, c.Name(), opt.Checkpoint != nil, start)
+	for i, r := range cones {
+		ca := coneAnswer(r, store.ConeName(c, outputs[i]), ans.Resumed, start)
+		ca.Seal()
+		ans.Cones = append(ans.Cones, ca)
 	}
-	switch res.Status {
+	switch walk.Status {
 	case core.StatusComplete:
-		ans.RD = new(big.Int).Sub(res.Total, big.NewInt(res.Selected)).String()
 		ans.Seal()
 		return ans, nil
 	case core.StatusDeadline, core.StatusCanceled:
 		var buf bytes.Buffer
-		if res.Checkpoint == nil {
+		if walk.Checkpoint == nil {
 			return nil, fmt.Errorf("serve: interrupted slice produced no checkpoint")
 		}
-		if err := res.Checkpoint.Encode(&buf); err != nil {
+		if err := walk.Checkpoint.Encode(&buf); err != nil {
 			return nil, err
 		}
 		ans.Checkpoint = json.RawMessage(bytes.TrimSpace(buf.Bytes()))
@@ -232,7 +249,49 @@ func (s *Server) Cone(req ConeRequest) (*ConeAnswer, error) {
 	case core.StatusDegraded:
 		// Partial counters with crashed subtrees must never be served; the
 		// caller retries from its last good checkpoint.
-		return nil, fmt.Errorf("serve: cone slice degraded: %w", res.Err)
+		return nil, fmt.Errorf("serve: cone slice degraded: %w", walk.Err)
 	}
-	return nil, fmt.Errorf("serve: unexpected slice status %v", res.Status)
+	return nil, fmt.Errorf("serve: unexpected slice status %v", walk.Status)
+}
+
+// requestedOutputs maps a request's output positions onto c's outputs:
+// all of them for an empty list, a 400 for a position out of range or
+// given twice.
+func requestedOutputs(c *circuit.Circuit, pos []int) ([]circuit.GateID, error) {
+	all := c.Outputs()
+	if len(pos) == 0 {
+		return all, nil
+	}
+	seen := make([]bool, len(all))
+	outputs := make([]circuit.GateID, len(pos))
+	for i, p := range pos {
+		if p < 0 || p >= len(all) || seen[p] {
+			return nil, fmt.Errorf("%w: output position %d out of range or repeated (%d outputs)",
+				ErrBadRequest, p, len(all))
+		}
+		seen[p] = true
+		outputs[i] = all[p]
+	}
+	return outputs, nil
+}
+
+// coneAnswer renders one enumeration Result, unsealed and without a
+// checkpoint.
+func coneAnswer(r *core.Result, name string, resumed bool, start time.Time) *ConeAnswer {
+	a := &ConeAnswer{
+		Status:     r.Status.String(),
+		Circuit:    name,
+		Criterion:  r.Criterion.String(),
+		TotalPaths: r.Total.String(),
+		Selected:   r.Selected,
+		Segments:   r.Segments,
+		Pruned:     r.Pruned,
+		SATRejects: r.SATRejects,
+		Resumed:    resumed,
+		DurationMS: time.Since(start).Milliseconds(),
+	}
+	if r.RD != nil {
+		a.RD = r.RD.String()
+	}
+	return a
 }

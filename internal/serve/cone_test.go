@@ -4,9 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"math/big"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 
+	"rdfault/internal/analysis"
 	"rdfault/internal/circuit"
 	"rdfault/internal/core"
 	"rdfault/internal/faultinject"
@@ -15,7 +18,7 @@ import (
 
 // coneDispatch renders one cone of c plus the projected global sort as
 // the wire-format request the fleet coordinator sends.
-func coneDispatch(t *testing.T, c *circuit.Circuit, sort circuit.InputSort, po circuit.GateID) ConeRequest {
+func coneDispatch(t *testing.T, c *circuit.Circuit, sort *circuit.InputSort, po circuit.GateID) ConeRequest {
 	t.Helper()
 	cone, mapping, err := c.Cone(po)
 	if err != nil {
@@ -38,7 +41,7 @@ func TestConeAnswersSumToWholeCircuitRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort, err := jobSort(c, core.Heuristic2)
+	sort, err := core.HeuristicSort(c, core.Heuristic2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +102,7 @@ func TestConeFSCriterionSums(t *testing.T) {
 // worker, since both sides parse the same bench text.
 func TestConeSliceChainMatchesOneShot(t *testing.T) {
 	c := gen.RippleAdder(6, gen.XorNAND)
-	sort, err := jobSort(c, core.Heuristic2)
+	sort, err := core.HeuristicSort(c, core.Heuristic2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +171,7 @@ func TestConeSliceChainMatchesOneShot(t *testing.T) {
 // and wrong-circuit fingerprints both land there, never a wrong answer.
 func TestConeBadCheckpointIsTyped(t *testing.T) {
 	c := gen.RippleAdder(4, gen.XorNAND)
-	sort, err := jobSort(c, core.Heuristic2)
+	sort, err := core.HeuristicSort(c, core.Heuristic2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +212,7 @@ func TestConeBadCheckpointIsTyped(t *testing.T) {
 // shed in Health — the fleet's backpressure signal.
 func TestConeLaneSheds(t *testing.T) {
 	c := gen.RippleAdder(4, gen.XorNAND)
-	sort, err := jobSort(c, core.Heuristic2)
+	sort, err := core.HeuristicSort(c, core.Heuristic2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,6 +253,141 @@ func TestConeLaneSheds(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("wedged slice failed: %v", err)
+	}
+}
+
+// A group request — the whole netlist, outputs addressed by position —
+// answers every requested cone exactly as today's per-cone request does.
+// The ripple adder's outputs come back from the .bench round trip under
+// their drivers' names, which is why requests address them by position.
+func TestConeGroupRequestMatchesPerConeRequests(t *testing.T) {
+	c := gen.RippleAdder(4, gen.XorNAND)
+	sort, err := core.HeuristicSort(c, core.Heuristic2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := circuit.ParseBench(c.Name(), strings.NewReader(benchOf(t, c)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parsed.Gate(parsed.Outputs()[0]).Name == c.Gate(c.Outputs()[0]).Name {
+		t.Fatal("output names survive the round trip; the test no longer shows positional addressing")
+	}
+	s := newTestServer(t, Config{})
+	var perCone []*ConeAnswer
+	for _, po := range c.Outputs() {
+		ans, err := s.Cone(coneDispatch(t, c, sort, po))
+		if err != nil {
+			t.Fatal(err)
+		}
+		perCone = append(perCone, ans)
+	}
+	for _, outputs := range [][]int{nil, {4, 0, 2}} {
+		ans, err := s.Cone(ConeRequest{Bench: benchOf(t, c), Name: c.Name(), Outputs: outputs, Sort: sort.ByName(c)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outputs == nil {
+			outputs = []int{0, 1, 2, 3, 4}
+		}
+		if ans.Status != "complete" || !ans.Verify() || len(ans.Cones) != len(outputs) {
+			t.Fatalf("group %v: status %q, %d cone answers", outputs, ans.Status, len(ans.Cones))
+		}
+		var selected, segments int64
+		for k, pos := range outputs {
+			got, want := ans.Cones[k], perCone[pos]
+			if !got.Verify() || got.TotalPaths != want.TotalPaths || got.Selected != want.Selected ||
+				got.RD != want.RD || got.Segments != want.Segments || got.Pruned != want.Pruned {
+				t.Fatalf("group %v, output %d: got %+v, per-cone request %+v", outputs, pos, got, want)
+			}
+			if got.Circuit != c.Name()+"."+parsed.Gate(parsed.Outputs()[pos]).Name {
+				t.Fatalf("output %d answered as %q", pos, got.Circuit)
+			}
+			selected += got.Selected
+			segments += got.Segments
+		}
+		// The walk shares prefixes among its cones, so it extends no more
+		// segments than the cones sum to.
+		if ans.Selected != selected || ans.Segments > segments {
+			t.Fatalf("group %v: walk selected=%d segments=%d, cones sum to %d/%d",
+				outputs, ans.Selected, ans.Segments, selected, segments)
+		}
+	}
+}
+
+// A request without Outputs on a one-output cone netlist is today's
+// request: its walk counters are the cone's Enumerate counters.
+func TestConeEmptyOutputsOnConeNetlist(t *testing.T) {
+	c := gen.RippleAdder(4, gen.XorNAND)
+	sort, err := core.HeuristicSort(c, core.Heuristic2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{})
+	for _, po := range c.Outputs() {
+		req := coneDispatch(t, c, sort, po)
+		ans, err := s.Cone(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cone, mapping, err := c.Cone(po)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proj := sort.Cone(mapping)
+		want, err := core.Enumerate(cone, core.SigmaPi, core.Options{Sort: &proj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []*ConeAnswer{ans, ans.Cones[0]} {
+			if got.TotalPaths != want.Total.String() || got.Selected != want.Selected || got.RD != want.RD.String() ||
+				got.Segments != want.Segments || got.Pruned != want.Pruned {
+				t.Fatalf("%s: answer %+v, Enumerate total=%v selected=%d rd=%v segments=%d pruned=%d",
+					req.Name, got, want.Total, want.Selected, want.RD, want.Segments, want.Pruned)
+			}
+		}
+		if ans.Circuit != req.Name || len(ans.Cones) != 1 {
+			t.Fatalf("%s: answered as %q with %d cones", req.Name, ans.Circuit, len(ans.Cones))
+		}
+	}
+}
+
+// Output positions out of range or repeated are a malformed request:
+// 400, not a walk.
+func TestConeBadOutputPositions(t *testing.T) {
+	c := gen.RippleAdder(4, gen.XorNAND)
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	for _, outputs := range [][]int{{-1}, {5}, {0, 3, 0}} {
+		body, err := json.Marshal(ConeRequest{Bench: benchOf(t, c), Name: c.Name(), Criterion: "FS", Outputs: outputs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := do(h, "POST", "/v1/cone", string(body)); rec.Code != http.StatusBadRequest {
+			t.Fatalf("outputs %v: %d %s, want 400", outputs, rec.Code, rec.Body)
+		}
+	}
+}
+
+// Every dispatch parses a new circuit version that nothing looks up
+// again; the lane releases its analysis, so the registry does not grow.
+func TestConeLaneReleasesAnalysis(t *testing.T) {
+	c := gen.RippleAdder(4, gen.XorNAND)
+	sort, err := core.HeuristicSort(c, core.Heuristic2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{})
+	req := ConeRequest{Bench: benchOf(t, c), Name: c.Name(), Sort: sort.ByName(c)}
+	before := analysis.Len()
+	for i := 0; i < 50; i++ {
+		req.Outputs = []int{i % 5}
+		if _, err := s.Cone(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := analysis.Len(); after != before {
+		t.Fatalf("analysis registry holds %d circuits after 50 dispatches, %d before", after, before)
 	}
 }
 

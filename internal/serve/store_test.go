@@ -68,9 +68,10 @@ func TestServeStoreHitOnResubmission(t *testing.T) {
 	if warm.TotalPaths != cold.TotalPaths || warm.Selected != cold.Selected || warm.RD != cold.RD {
 		t.Fatalf("hit served different counters: %+v vs %+v", warm, cold)
 	}
-	// The hit did no enumeration: the job's tracker never moved.
-	if p := j2.Progress(); p.Segments != 0 {
-		t.Fatalf("store hit walked %d segments", p.Segments)
+	// The hit reports the counters it served, frozen: the cold job's.
+	// (That it walked nothing is the store.hit event checked below.)
+	if p1, p2 := j1.Progress(), j2.Progress(); p2 != p1 || !p2.Final || p2.Selected != warm.Selected {
+		t.Fatalf("store hit progress %+v, cold job %+v, answer selected %d", p2, p1, warm.Selected)
 	}
 	if st.Stats().Hits == 0 {
 		t.Fatal("store handle recorded no hits")
@@ -277,5 +278,75 @@ func TestServeStoreFinishedJobReleasesCircuit(t *testing.T) {
 	if streamed.Circuit != want.Circuit || streamed.State != StateDone ||
 		streamed.Progress == nil || *streamed.Progress != *info.Progress {
 		t.Fatalf("streamed done frame %+v, job lookup %+v", streamed, info)
+	}
+}
+
+// A store-served job reports the counters it was served as its
+// progress: the job lookup, the SSE done frame and the job.done event
+// of a miss and of the hit that follows carry the answer's Selected.
+func TestServeStoreJobProgressCarriesAnswer(t *testing.T) {
+	var events bytes.Buffer
+	s, _ := newStoreServer(t, Config{StreamInterval: 2 * time.Millisecond, Telemetry: telemetry.NewLog(&events)})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	h := s.Handler()
+
+	c := gen.ALU(4, gen.XorNAND)
+	for _, want := range []string{"miss", "hit"} {
+		j, err := s.Submit(Request{Bench: benchOf(t, c), Name: "alu-" + want, Heuristic: "heu1", Tier: "fast"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, err := waitJob(t, j, 30*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.Store != want || ans.Selected != 820 {
+			t.Fatalf("%s: store %q, selected %d; ALU(4) under Heuristic 1 selects 820", want, ans.Store, ans.Selected)
+		}
+
+		var info Info
+		if rec := do(h, "GET", "/v1/jobs/"+j.ID, ""); rec.Code != http.StatusOK {
+			t.Fatalf("%s: job lookup: %d %s", want, rec.Code, rec.Body)
+		} else if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+			t.Fatal(err)
+		}
+		if info.Progress == nil || !info.Progress.Final || info.Progress.Selected != ans.Selected {
+			t.Fatalf("%s: job lookup progress %+v, answer selected %d", want, info.Progress, ans.Selected)
+		}
+
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + j.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := readFrames(t, bufio.NewScanner(resp.Body), 10)
+		resp.Body.Close()
+		var streamed Info
+		if len(frames) == 0 || frames[len(frames)-1].event != "done" {
+			t.Fatalf("%s: stream %+v", want, frames)
+		}
+		if err := json.Unmarshal([]byte(frames[len(frames)-1].data), &streamed); err != nil {
+			t.Fatal(err)
+		}
+		if streamed.Progress == nil || *streamed.Progress != *info.Progress {
+			t.Fatalf("%s: done frame progress %+v, job lookup %+v", want, streamed.Progress, info.Progress)
+		}
+	}
+
+	evs, err := telemetry.ParseJSONL(events.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	for _, ev := range evs {
+		if ev.Kind == "job.done" {
+			done++
+			if ev.Fields["selected"] != 820 {
+				t.Fatalf("job.done event %+v does not carry the answer's selected 820", ev)
+			}
+		}
+	}
+	if done != 2 {
+		t.Fatalf("%d job.done events, want 2", done)
 	}
 }

@@ -64,6 +64,9 @@ func (s *Server) runStoreFast(ctx context.Context, j *Job) (*Answer, error) {
 		return nil, err
 	}
 
+	// The job's progress reports the counters it was served, whether the
+	// store walked any of them or not.
+	j.tracker.Freeze(core.Progress{Selected: res.Selected, Segments: res.Segments, Pruned: res.Pruned})
 	s.metrics.storeLookups.With(res.Outcome).Add(1)
 	s.metrics.storeCones.With("store").Add(int64(res.ReusedCones))
 	s.metrics.storeCones.With("fresh").Add(int64(res.FreshCones))

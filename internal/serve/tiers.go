@@ -385,11 +385,18 @@ func (s *Server) runCertTier(ctx context.Context, j *Job) (*Answer, error) {
 	}()
 	defer func() { cancel(); <-watchDone }()
 
-	sort, err := jobSort(j.circuit, j.heuristic)
+	// The same sort every rung of the job uses — that shared σ is what
+	// makes the ladder's subset guarantee hold. The heavy Heuristic 2
+	// passes are memoized, so this rung never recomputes a sort a higher
+	// rung already paid for.
+	sort, err := core.HeuristicSort(j.circuit, j.heuristic, 1)
+	if err == nil && sort == nil {
+		err = fmt.Errorf("serve: heuristic %v has no input sort", j.heuristic)
+	}
 	if err != nil {
 		return nil, &stepDown{cause: err, note: downNote(err)}
 	}
-	cert, err := core.CollectRDSegments(j.circuit, sort, core.Options{Context: tierCtx, Progress: j.tracker})
+	cert, err := core.CollectRDSegments(j.circuit, *sort, core.Options{Context: tierCtx, Progress: j.tracker})
 	if err != nil {
 		return nil, &stepDown{cause: err, note: downNote(err)}
 	}
@@ -445,30 +452,6 @@ func (s *Server) runCountTier(ctx context.Context, j *Job) (*Answer, error) {
 		RD:         "0",
 		DurationMS: time.Since(start).Milliseconds(),
 	}, nil
-}
-
-// jobSort computes the input sort the job's heuristic prescribes. All
-// rungs of one job use this same sort — that shared σ is what makes the
-// ladder's subset guarantee hold. The heavy Heuristic-2 passes are
-// memoized by the analysis manager, so a rung never recomputes a sort a
-// higher rung already paid for.
-func jobSort(c *circuit.Circuit, h core.Heuristic) (circuit.InputSort, error) {
-	switch h {
-	case core.Heuristic1:
-		return core.Heuristic1Sort(c), nil
-	case core.Heuristic2, core.Heuristic2Inverse:
-		s, _, _, err := core.Heuristic2SortWorkers(c, 1)
-		if err != nil {
-			return circuit.InputSort{}, err
-		}
-		if h == core.Heuristic2Inverse {
-			s = s.Inverse()
-		}
-		return s, nil
-	case core.HeuristicPinOrder:
-		return circuit.PinOrderSort(c), nil
-	}
-	return circuit.InputSort{}, fmt.Errorf("serve: heuristic %v has no input sort", h)
 }
 
 // ratioPercent is 100*num/den for big.Int counters (0 on empty circuits).

@@ -35,10 +35,11 @@ func TestTierLadderSoundVsOracle(t *testing.T) {
 	}
 	for _, c := range circuits {
 		t.Run(c.Name(), func(t *testing.T) {
-			sort, err := jobSort(c, core.Heuristic2)
+			sp, err := core.HeuristicSort(c, core.Heuristic2, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
+			sort := *sp
 			orc, err := oracle.Classify(c, sort)
 			if err != nil {
 				t.Fatal(err)

@@ -235,15 +235,19 @@ func RunKey(funcHash string, h core.Heuristic, cr core.Criterion) string {
 // indexes each row, is preserved by the rewrites), and the criterion.
 // Identical cones under identical projected sorts collide on purpose:
 // duplicated logic inside one circuit is stored and enumerated once.
+// The store and the fleet compute these keys on the whole circuit with
+// ConeKeys; ConeKey on an extracted cone is the reference the tests
+// hold them to.
 func ConeKey(cone *circuit.Circuit, sort *circuit.InputSort, cr core.Criterion) string {
 	return newCanonizer(cone, false).key(cone.Outputs(), true, sort, cr)
 }
 
-// coneKeys returns the ConeKey of every output cone of c, in Outputs()
-// order, without extracting a cone: the canonical DFS from one output
-// numbers exactly the gates c.Cone would copy, in the same order, and
-// the global sort's rows are the rows InputSort.Cone projects.
-func coneKeys(c *circuit.Circuit, sort *circuit.InputSort, cr core.Criterion) []string {
+// ConeKeys returns the ConeKey of every output cone of c under the
+// global sort, in Outputs() order, without extracting a cone: the
+// canonical DFS from one output numbers exactly the gates c.Cone would
+// copy, in the same order, and the global sort's rows are the rows
+// InputSort.Cone projects.
+func ConeKeys(c *circuit.Circuit, sort *circuit.InputSort, cr core.Criterion) []string {
 	z := newCanonizer(c, false)
 	keys := make([]string, len(c.Outputs()))
 	for i, po := range c.Outputs() {
@@ -280,7 +284,8 @@ func (z *canonizer) key(pos []circuit.GateID, inputs bool, sort *circuit.InputSo
 	return hex.EncodeToString(sum[:])
 }
 
-// coneName is the name c.Cone gives the cone of output po.
-func coneName(c *circuit.Circuit, po circuit.GateID) string {
+// ConeName is the name c.Cone gives the cone of output po:
+// "<circuit>.<output>".
+func ConeName(c *circuit.Circuit, po circuit.GateID) string {
 	return c.Name() + "." + c.Gate(po).Name
 }

@@ -93,11 +93,11 @@ func TestConeKeyTransportsUnderRelabel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc, err := storeSort(c, h, 0)
+		sc, err := core.HeuristicSort(c, h, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := storeSort(r, h, 0)
+		sr, err := core.HeuristicSort(r, h, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

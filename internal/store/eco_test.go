@@ -294,11 +294,11 @@ func TestECOConeKeysInPlace(t *testing.T) {
 		if h == core.HeuristicFUS {
 			cr = core.FS
 		}
-		sort, err := storeSort(c, h, 1)
+		sort, err := core.HeuristicSort(c, h, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys := coneKeys(c, sort, cr)
+		keys := ConeKeys(c, sort, cr)
 		for i, po := range c.Outputs() {
 			cone, mapping, err := c.Cone(po)
 			if err != nil {
@@ -312,8 +312,8 @@ func TestECOConeKeysInPlace(t *testing.T) {
 			if want := ConeKey(cone, proj, cr); keys[i] != want {
 				t.Fatalf("%s/%v: in-place key of output %d differs from the extracted cone's", c.Name(), h, i)
 			}
-			if coneName(c, po) != cone.Name() {
-				t.Fatalf("cone name %q, extracted cone is %q", coneName(c, po), cone.Name())
+			if ConeName(c, po) != cone.Name() {
+				t.Fatalf("cone name %q, extracted cone is %q", ConeName(c, po), cone.Name())
 			}
 		}
 	}
@@ -375,7 +375,7 @@ func TestECOConeKeyFormatPinned(t *testing.T) {
 		{core.HeuristicFUS, core.FS, "a10bae133c6c8278e32b946407bd7898256b80ee4cdba3fe88f0477f1b6ef764"},
 		{core.Heuristic1, core.SigmaPi, "83eab344e6685d83ad976dd16ebb6ba0fe87ef55da2e6cca4ec63de7ac21f6f0"},
 	} {
-		sort, err := storeSort(c, tc.h, 1)
+		sort, err := core.HeuristicSort(c, tc.h, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +387,7 @@ func TestECOConeKeyFormatPinned(t *testing.T) {
 		if got := ConeKey(cone, proj, tc.cr); got != tc.want {
 			t.Fatalf("%v: ConeKey of %s is %s, stored records use %s", tc.h, cone.Name(), got, tc.want)
 		}
-		if got := coneKeys(c, sort, tc.cr)[len(c.Outputs())-1]; got != tc.want {
+		if got := ConeKeys(c, sort, tc.cr)[len(c.Outputs())-1]; got != tc.want {
 			t.Fatalf("%v: in-place key of %s is %s, stored records use %s", tc.h, cone.Name(), got, tc.want)
 		}
 	}

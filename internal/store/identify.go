@@ -84,31 +84,6 @@ func (r *Result) RDPercent() float64 {
 	return 100 * q
 }
 
-// storeSort mirrors the fleet's globalSort: the one whole-circuit sort
-// every cone's projection derives from.
-func storeSort(c *circuit.Circuit, h core.Heuristic, workers int) (*circuit.InputSort, error) {
-	switch h {
-	case core.HeuristicFUS:
-		return nil, nil
-	case core.Heuristic1:
-		s := core.Heuristic1Sort(c)
-		return &s, nil
-	case core.Heuristic2, core.Heuristic2Inverse:
-		s, _, _, err := core.Heuristic2SortWorkers(c, workers)
-		if err != nil {
-			return nil, err
-		}
-		if h == core.Heuristic2Inverse {
-			s = s.Inverse()
-		}
-		return &s, nil
-	case core.HeuristicPinOrder:
-		s := circuit.PinOrderSort(c)
-		return &s, nil
-	}
-	return nil, fmt.Errorf("store: heuristic %v has no input sort", h)
-}
-
 // IdentifyThrough runs RD identification on c through the store s:
 //
 //  1. A run entry under c's content address whose shape matches is a
@@ -193,7 +168,7 @@ func IdentifyThrough(s *Store, c *circuit.Circuit, opt Options) (*Result, error)
 		ancestor = nil
 	}
 
-	sort, err := storeSort(c, h, opt.Workers)
+	sort, err := core.HeuristicSort(c, h, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +189,7 @@ func IdentifyThrough(s *Store, c *circuit.Circuit, opt Options) (*Result, error)
 		walked    bool
 	}
 	outputs := c.Outputs()
-	keys := coneKeys(c, sort, cr)
+	keys := ConeKeys(c, sort, cr)
 	got := make([]coneCounters, len(outputs)) // at each key's first cone
 	first := make(map[string]int, len(outputs))
 	var fresh []circuit.GateID
@@ -261,7 +236,7 @@ func IdentifyThrough(s *Store, c *circuit.Circuit, opt Options) (*Result, error)
 		for k, i := range freshAt {
 			er := cones[k]
 			rec := &ConeRecord{
-				Cone:       coneName(c, outputs[i]),
+				Cone:       ConeName(c, outputs[i]),
 				TotalPaths: er.Total.String(),
 				Selected:   er.Selected,
 				RD:         er.RD.String(),
@@ -286,7 +261,7 @@ func IdentifyThrough(s *Store, c *circuit.Circuit, opt Options) (*Result, error)
 		res.Segments += g.rec.Segments
 		res.Pruned += g.rec.Pruned
 		out := ConeOutcome{
-			Name:     coneName(c, outputs[i]),
+			Name:     ConeName(c, outputs[i]),
 			Key:      key,
 			Reused:   first[key] != i || !g.walked,
 			Selected: g.rec.Selected,

@@ -197,7 +197,7 @@ func reference(t *testing.T, c *circuit.Circuit, opt Options) *Result {
 	if opt.Heuristic == core.HeuristicFUS {
 		cr = core.FS
 	}
-	sort, err := storeSort(c, opt.Heuristic, opt.Workers)
+	sort, err := core.HeuristicSort(c, opt.Heuristic, opt.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}
