@@ -29,10 +29,13 @@ race:
 # The deterministic fault-injection suite under the race detector:
 # admission failures, worker panics, budget evictions mid-run, spill
 # corruption, clock skew — every injected fault must map to a typed
-# error or a correctly-labeled degraded tier, never a wrong answer.
+# error or a correctly-labeled degraded tier, never a wrong answer. The
+# checkpoint seal runs last: every flipped byte and injected corruption
+# of a spilled checkpoint must fail typed or read back unchanged.
 chaos:
 	$(GO) test -race -count=1 ./internal/faultinject ./internal/serve \
 		./internal/cliutil ./internal/store -run 'Test'
+	$(GO) test -race -count=1 ./internal/core -run 'TestCorruptionMatrix|TestInjectedWriteCorruption|TestEmptyFileIsCorrupt|TestVersionMismatch'
 
 # The killed-node chaos suite: worker kills, dropped dispatches,
 # corrupted responses, zombie replies and checkpoint migration injected
@@ -109,11 +112,12 @@ bench-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -timeout 30m .
 
-# Short fuzz pass over the three netlist parsers, the differential
-# oracle harness and the implication engine (flat vs reference, and
-# cone-bounded vs reference).
+# Short fuzz pass over the three netlist parsers, the sealed checkpoint
+# decoder, the differential oracle harness and the implication engine
+# (flat vs reference, and cone-bounded vs reference).
 fuzz:
 	$(GO) test ./internal/circuit -run=NONE -fuzz FuzzParseBench -fuzztime 30s
+	$(GO) test ./internal/core -run=NONE -fuzz FuzzDecodeCheckpoint -fuzztime 30s
 	$(GO) test ./internal/store -run=NONE -fuzz FuzzECODelta -fuzztime 30s
 	$(GO) test ./internal/fleet/journal -run=NONE -fuzz FuzzJournalReplay -fuzztime 30s
 	$(GO) test ./internal/verilog -run=NONE -fuzz FuzzParse -fuzztime 30s

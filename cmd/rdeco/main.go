@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	h, err := parseHeuristic(*heuristic)
+	h, err := core.ParseHeuristic(*heuristic)
 	if err != nil {
 		return err
 	}
@@ -124,19 +124,4 @@ func loadCircuit(benchFile string, example bool) (*circuit.Circuit, error) {
 		return loader.Load(benchFile)
 	}
 	return nil, fmt.Errorf("need -bench or -example")
-}
-
-func parseHeuristic(name string) (core.Heuristic, error) {
-	hs := map[string]core.Heuristic{
-		"fus":     core.HeuristicFUS,
-		"heu1":    core.Heuristic1,
-		"heu2":    core.Heuristic2,
-		"inverse": core.Heuristic2Inverse,
-		"pin":     core.HeuristicPinOrder,
-	}
-	h, ok := hs[strings.ToLower(name)]
-	if !ok {
-		return 0, fmt.Errorf("unknown heuristic %q (want fus|heu1|heu2|inverse|pin)", name)
-	}
-	return h, nil
 }

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/big"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -38,6 +37,7 @@ import (
 	"rdfault"
 	"rdfault/internal/circuit"
 	"rdfault/internal/cliutil"
+	"rdfault/internal/core"
 	"rdfault/internal/fleet"
 	"rdfault/internal/fleet/journal"
 	"rdfault/internal/loader"
@@ -89,7 +89,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		h, err = parseHeuristic(*heuristic)
+		h, err = core.ParseHeuristic(*heuristic)
 		if err != nil {
 			fatal(err)
 		}
@@ -229,44 +229,18 @@ func loadCircuit(benchFile string, example bool) (*circuit.Circuit, error) {
 	return nil, fmt.Errorf("need -bench or -example")
 }
 
-func parseHeuristic(name string) (rdfault.Heuristic, error) {
-	hs := map[string]rdfault.Heuristic{
-		"fus":     rdfault.HeuristicFUS,
-		"heu1":    rdfault.Heuristic1,
-		"heu2":    rdfault.Heuristic2,
-		"inverse": rdfault.Heuristic2Inverse,
-		"pin":     rdfault.HeuristicPinOrder,
-	}
-	h, ok := hs[strings.ToLower(name)]
-	if !ok {
-		return 0, fmt.Errorf("unknown heuristic %q (want fus|heu1|heu2|inverse|pin)", name)
-	}
-	return h, nil
-}
-
 func printResult(res *fleet.Result) {
 	fmt.Printf("circuit:   %s (%d cones)\n", res.Circuit, res.Stats.Cones)
 	fmt.Printf("heuristic: %s  criterion: %s\n", res.Heuristic, res.Criterion)
 	fmt.Printf("paths:     %s\n", res.Total)
 	fmt.Printf("selected:  %d\n", res.Selected)
-	fmt.Printf("rd:        %s (%s%%)\n", res.RD, rdPercent(res.RD, res.Total))
+	fmt.Printf("rd:        %s (%.2f%%)\n", res.RD, core.RDPercent(res.RD, res.Total))
 	fmt.Printf("segments:  %d  pruned: %d\n", res.Segments, res.Pruned)
 	fmt.Printf("stats:     dispatches=%d slices=%d failures=%d abandoned=%d zombies=%d restarts=%d quarantines=%d rejoins=%d dead=%d store_hits=%d journal_retired=%d fenced=%d\n",
 		res.Stats.Dispatches, res.Stats.Slices, res.Stats.Failures, res.Stats.Abandoned,
 		res.Stats.ZombieDiscards, res.Stats.Restarts, res.Stats.Quarantines, res.Stats.Rejoins,
 		res.Stats.DeadWorkers, res.Stats.StoreHits, res.Stats.JournalRetired, res.Stats.Fenced)
 	fmt.Printf("duration:  %s\n", res.Duration.Round(time.Millisecond))
-}
-
-// rdPercent formats 100*rd/total with two decimals, in big-int space.
-func rdPercent(rd, total *big.Int) string {
-	if total.Sign() == 0 {
-		return "0.00"
-	}
-	scaled := new(big.Int).Mul(rd, big.NewInt(10000))
-	scaled.Add(scaled, new(big.Int).Quo(total, big.NewInt(2)))
-	scaled.Quo(scaled, total)
-	return fmt.Sprintf("%d.%02d", scaled.Int64()/100, scaled.Int64()%100)
 }
 
 func fatal(err error) {

@@ -14,6 +14,7 @@ import (
 	"rdfault/internal/fleet"
 	"rdfault/internal/fleet/journal"
 	"rdfault/internal/gen"
+	"rdfault/internal/seal"
 	"rdfault/internal/serve"
 )
 
@@ -104,7 +105,7 @@ func runSelftest() error {
 	if err := os.WriteFile(corruptPath, raw, 0o644); err != nil {
 		return err
 	}
-	var ce *journal.CorruptError
+	var ce *seal.CorruptError
 	_, rerr := journal.ReadFile(corruptPath)
 	fmt.Printf("corrupt: typed=%v offset-past-admit=%v\n",
 		errors.As(rerr, &ce), ce != nil && ce.Offset == int64(second))

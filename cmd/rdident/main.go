@@ -18,10 +18,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 
 	"rdfault"
 	"rdfault/internal/cliutil"
+	"rdfault/internal/core"
 	"rdfault/internal/exp"
 	"rdfault/internal/gen"
 	"rdfault/internal/loader"
@@ -86,34 +86,26 @@ func main() {
 		os.Exit(2)
 	}
 
-	hs := map[string]rdfault.Heuristic{
-		"fus":     rdfault.HeuristicFUS,
-		"heu1":    rdfault.Heuristic1,
-		"heu2":    rdfault.Heuristic2,
-		"inverse": rdfault.Heuristic2Inverse,
-		"pin":     rdfault.HeuristicPinOrder,
-	}
-	var order []string
-	if *heuristic == "all" {
-		order = []string{"fus", "heu1", "heu2", "inverse"}
-	} else {
-		if _, ok := hs[strings.ToLower(*heuristic)]; !ok {
-			fatal(fmt.Errorf("unknown heuristic %q", *heuristic))
+	hs := []rdfault.Heuristic{rdfault.HeuristicFUS, rdfault.Heuristic1, rdfault.Heuristic2, rdfault.Heuristic2Inverse}
+	if *heuristic != "all" {
+		h, err := core.ParseHeuristic(*heuristic)
+		if err != nil {
+			fatal(err)
 		}
-		order = []string{strings.ToLower(*heuristic)}
+		hs = []rdfault.Heuristic{h}
 	}
-	if rf.ResumePath != "" && len(order) != 1 {
+	if rf.ResumePath != "" && len(hs) != 1 {
 		fatal(fmt.Errorf("-resume needs a single -heuristic (a checkpoint is bound to one criterion and sort)"))
 	}
-	for _, name := range order {
+	for _, h := range hs {
 		opt := rdfault.Options{Limit: *limit, Workers: *workers}
 		if err := rf.Apply(ctx, &opt); err != nil {
 			fatal(err)
 		}
-		rep, err := rdfault.Identify(c, hs[name], opt)
+		rep, err := rdfault.Identify(c, h, opt)
 		if err != nil {
 			if cliutil.IsGracefulStop(err) {
-				fmt.Fprintf(os.Stderr, "rdident: %s interrupted before enumeration started (no partial state to save)\n", name)
+				fmt.Fprintf(os.Stderr, "rdident: %s interrupted before enumeration started (no partial state to save)\n", h)
 				return
 			}
 			fatal(err)

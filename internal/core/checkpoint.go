@@ -12,18 +12,20 @@ import (
 	"rdfault/internal/circuit"
 	"rdfault/internal/faultinject"
 	"rdfault/internal/logic"
+	"rdfault/internal/seal"
 )
 
 // CheckpointVersion stamps the checkpoint of a whole-circuit Enumerate;
 // ConesCheckpointVersion stamps that of an output-restricted
 // EnumerateCones walk, which also carries the requested outputs and the
-// per-gate tallies. Decode rejects any other version rather than
-// guessing, each entry point refuses the other's kind with
-// ErrCheckpointKind, and a build that predates the restricted kind
-// refuses it as an unknown version.
+// per-gate tallies. Both carry a seal (Checkpoint.Sum). Decode rejects
+// any other version rather than guessing — versions 1 and 2, which had
+// no seal, included — each entry point refuses the other's kind with
+// ErrCheckpointKind, and a build that predates a kind refuses it as an
+// unknown version.
 const (
-	CheckpointVersion      = 1
-	ConesCheckpointVersion = 2
+	CheckpointVersion      = 3
+	ConesCheckpointVersion = 4
 )
 
 // ErrCheckpointKind is the sentinel for a valid checkpoint handed to the
@@ -56,6 +58,11 @@ type Checkpoint struct {
 	// nonzero per-gate tallies folded so far.
 	Outputs []int             `json:"outputs,omitempty"`
 	Tallies []CheckpointTally `json:"tallies,omitempty"`
+	// Sum seals every other field: seal.JSON of the checkpoint with Sum
+	// empty. Encode stamps it and Decode checks it, so a checkpoint
+	// whose bytes changed on disk or on the wire fails typed instead of
+	// resuming into wrong counters.
+	Sum string `json:"sum,omitempty"`
 }
 
 // CheckpointTally is one gate's share of an interrupted restricted walk:
@@ -98,114 +105,105 @@ type CheckpointTask struct {
 // Pending returns the number of un-walked frontier entries.
 func (cp *Checkpoint) Pending() int { return len(cp.Tasks) }
 
-// Encode writes the checkpoint as JSON.
+// Encode writes the checkpoint as sealed JSON.
 func (cp *Checkpoint) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(cp)
+	sealed := *cp
+	sealed.Sum = seal.JSON(cp.unsealed())
+	return json.NewEncoder(w).Encode(&sealed)
 }
 
-// ErrCorruptCheckpoint is the sentinel for a checkpoint file whose bytes
-// cannot be trusted — truncation, garbage, a flipped byte, trailing
-// junk, or structurally impossible contents. Match with errors.Is; the
-// concrete *CorruptCheckpointError carries the byte offset.
+// unsealed is what the checksum covers: the checkpoint without its Sum.
+func (cp *Checkpoint) unsealed() Checkpoint {
+	u := *cp
+	u.Sum = ""
+	return u
+}
+
+// ErrCorruptCheckpoint is the sentinel for a checkpoint whose bytes
+// cannot be trusted — truncation, garbage, a flipped byte, a missing or
+// mismatched seal, trailing junk, or structurally impossible contents.
+// Match with errors.Is; the concrete *seal.CorruptError carries the
+// path and byte offset.
 var ErrCorruptCheckpoint = errors.New("core: corrupt checkpoint")
 
-// CorruptCheckpointError reports where and why a checkpoint failed to
-// decode. A corrupt checkpoint is never returned as a zero-value
-// resumable state: the caller gets this error or a valid frontier,
-// nothing in between.
-type CorruptCheckpointError struct {
-	// Path is the file read, when known ("" for stream decodes).
-	Path string
-	// Offset is the byte offset at which decoding failed; -1 when the
-	// position is unknowable (e.g. an empty file).
-	Offset int64
-	// Reason says what was wrong.
-	Reason string
-}
-
-// Error renders the corruption report.
-func (e *CorruptCheckpointError) Error() string {
-	where := "checkpoint"
-	if e.Path != "" {
-		where = fmt.Sprintf("checkpoint %s", e.Path)
-	}
-	if e.Offset >= 0 {
-		return fmt.Sprintf("core: corrupt %s at byte %d: %s", where, e.Offset, e.Reason)
-	}
-	return fmt.Sprintf("core: corrupt %s: %s", where, e.Reason)
-}
-
-// Unwrap matches errors.Is(err, ErrCorruptCheckpoint).
-func (e *CorruptCheckpointError) Unwrap() error { return ErrCorruptCheckpoint }
-
-// corruptErr builds the typed error from a decoder position.
-func corruptErr(off int64, format string, args ...any) error {
-	return &CorruptCheckpointError{Offset: off, Reason: fmt.Sprintf(format, args...)}
-}
-
-// DecodeCheckpoint reads a checkpoint written by Encode, validating the
-// version and basic structural sanity (index ranges are checked again at
-// resume time against the actual circuit). Truncated, mutated or
-// trailing-garbage input returns a *CorruptCheckpointError with the byte
-// offset of the damage — never a decode panic, and never a silently
-// empty checkpoint that would "resume" as a no-op.
+// DecodeCheckpoint reads a checkpoint written by Encode, checking its
+// seal, its version and basic structural sanity (index ranges are
+// checked again at resume time against the actual circuit). Truncated,
+// mutated or trailing-garbage input returns a *seal.CorruptError —
+// never a decode panic, and never a checkpoint that differs from what
+// Encode wrote.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
+	return decodeCheckpoint(r, "")
+}
+
+// decodeCheckpoint is DecodeCheckpoint naming path in its errors.
+func decodeCheckpoint(r io.Reader, path string) (*Checkpoint, error) {
+	corrupt := func(off int64, format string, args ...any) error {
+		return &seal.CorruptError{Kind: ErrCorruptCheckpoint, Path: path, Offset: off, Reason: fmt.Sprintf(format, args...)}
+	}
 	cp := &Checkpoint{}
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(cp); err != nil {
 		off := dec.InputOffset()
 		switch e := err.(type) {
 		case *json.SyntaxError:
-			return nil, corruptErr(e.Offset, "invalid JSON: %v", err)
+			return nil, corrupt(e.Offset, "invalid JSON: %v", err)
 		case *json.UnmarshalTypeError:
-			return nil, corruptErr(e.Offset, "field %s has impossible type: %v", e.Field, err)
+			return nil, corrupt(e.Offset, "field %s has impossible type: %v", e.Field, err)
 		}
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, corruptErr(off, "truncated checkpoint")
+			return nil, corrupt(off, "truncated checkpoint")
 		}
-		return nil, corruptErr(off, "decoding checkpoint: %v", err)
+		return nil, corrupt(off, "decoding checkpoint: %v", err)
 	}
 	// Version 0 means the field is absent entirely — a zeroed or foreign
 	// file, not honest skew from another build.
 	if cp.Version == 0 {
-		return nil, corruptErr(-1, "checkpoint has no version field")
+		return nil, corrupt(-1, "checkpoint has no version field")
+	}
+	// The seal is checked before the version is judged, so a flipped
+	// version digit reads as corruption; a checkpoint with no seal at all
+	// is an older build's (or foreign) and gets the version error.
+	if cp.Sum != "" && cp.Sum != seal.JSON(cp.unsealed()) {
+		return nil, corrupt(-1, "checksum mismatch")
 	}
 	if cp.Version != CheckpointVersion && cp.Version != ConesCheckpointVersion {
 		return nil, fmt.Errorf("core: checkpoint version %d, this build reads %d and %d",
 			cp.Version, CheckpointVersion, ConesCheckpointVersion)
 	}
+	if cp.Sum == "" {
+		return nil, corrupt(-1, "checkpoint carries no checksum")
+	}
 	// Trailing garbage means the file is not what Encode wrote; a partial
 	// overwrite or concatenation must not resume as if intact.
 	if _, err := dec.Token(); err != io.EOF {
-		return nil, corruptErr(dec.InputOffset(), "trailing garbage after checkpoint object")
+		return nil, corrupt(dec.InputOffset(), "trailing garbage after checkpoint object")
 	}
 	// Structural sanity that does not need the circuit: a real checkpoint
-	// names its circuit and counts nothing negative. Catching these here
-	// stops a zeroed or bit-rotted file from looking like a fresh state.
+	// names its circuit and counts nothing negative.
 	if cp.Circuit == "" {
-		return nil, corruptErr(-1, "checkpoint names no circuit")
+		return nil, corrupt(-1, "checkpoint names no circuit")
 	}
 	ctr := cp.Counters
 	if ctr.Selected < 0 || ctr.Segments < 0 || ctr.Pruned < 0 || ctr.SATRejects < 0 {
-		return nil, corruptErr(-1, "negative counters (selected=%d segments=%d pruned=%d sat=%d)",
+		return nil, corrupt(-1, "negative counters (selected=%d segments=%d pruned=%d sat=%d)",
 			ctr.Selected, ctr.Segments, ctr.Pruned, ctr.SATRejects)
 	}
 	for _, lc := range ctr.LeadCounts {
 		if lc < 0 {
-			return nil, corruptErr(-1, "negative lead counter %d", lc)
+			return nil, corrupt(-1, "negative lead counter %d", lc)
 		}
 	}
 	for _, t := range cp.Tallies {
 		if t.Segments < 0 || t.Pruned < 0 || t.Selected < 0 {
-			return nil, corruptErr(-1, "negative tally at gate %d", t.Gate)
+			return nil, corrupt(-1, "negative tally at gate %d", t.Gate)
 		}
 	}
 	return cp, nil
 }
 
-// WriteCheckpointFile stores the checkpoint at path (0644), atomically
-// via a temp file in the same directory.
+// WriteCheckpointFile stores the sealed checkpoint at path atomically
+// (seal.WriteFile).
 //
 // Fault-injection points: PointCheckpointWrite (slow/failed I/O) and
 // PointCheckpointBytes (byte corruption on the way to disk) let chaos
@@ -219,18 +217,12 @@ func WriteCheckpointFile(path string, cp *Checkpoint) error {
 	if err := cp.Encode(&buf); err != nil {
 		return err
 	}
-	data := faultinject.Corrupt(faultinject.PointCheckpointBytes, buf.Bytes())
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return seal.WriteFile(path, faultinject.Corrupt(faultinject.PointCheckpointBytes, buf.Bytes()))
 }
 
 // ReadCheckpointFile loads a checkpoint stored by WriteCheckpointFile.
-// Corrupt files return a *CorruptCheckpointError carrying the path and
-// byte offset (errors.Is(err, ErrCorruptCheckpoint)).
+// A corrupt file returns a *seal.CorruptError naming the path
+// (errors.Is(err, ErrCorruptCheckpoint)).
 func ReadCheckpointFile(path string) (*Checkpoint, error) {
 	if err := faultinject.Fire(faultinject.PointCheckpointRead); err != nil {
 		return nil, fmt.Errorf("core: reading checkpoint %s: %w", path, err)
@@ -240,12 +232,7 @@ func ReadCheckpointFile(path string) (*Checkpoint, error) {
 		return nil, err
 	}
 	defer f.Close()
-	cp, err := DecodeCheckpoint(f)
-	var ce *CorruptCheckpointError
-	if errors.As(err, &ce) {
-		ce.Path = path
-	}
-	return cp, err
+	return decodeCheckpoint(f, path)
 }
 
 // circuitFingerprint hashes the structure a checkpoint depends on: gate

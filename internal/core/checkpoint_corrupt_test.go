@@ -6,10 +6,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"rdfault/internal/faultinject"
 	"rdfault/internal/paths"
+	"rdfault/internal/seal"
 )
 
 // interruptedCheckpoint produces a genuine checkpoint with pending tasks.
@@ -37,54 +39,65 @@ func interruptedCheckpoint(t *testing.T) *Checkpoint {
 	return res.Checkpoint
 }
 
-// TestCorruptionMatrix: every way of damaging a checkpoint file —
-// truncation at any point, single-byte garbage, trailing junk, zeroed
-// content, an empty file — must come back as a typed
-// *CorruptCheckpointError (never a panic, never a silently-empty
-// checkpoint), with the byte offset populated whenever the damage has
-// one.
-func TestCorruptionMatrix(t *testing.T) {
-	cp := interruptedCheckpoint(t)
+// checkCorruption asserts the seal's contract for one damaged copy of a
+// checkpoint file: reading it either fails typed — a *seal.CorruptError
+// naming the file that matches ErrCorruptCheckpoint, with a byte offset
+// when wantOffset — or yields a checkpoint deep-equal to want. A damaged
+// file that still decodes is harmless only when it decodes to what was
+// written (a key whose letter case changed, since Go's JSON decoder
+// reads keys case-insensitively; a cut trailing newline).
+func checkCorruption(t *testing.T, path string, data []byte, want *Checkpoint, wantOffset bool) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCheckpointFile(path)
+	if err == nil {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: damaged checkpoint decoded to different contents (selected %d, want %d)",
+				filepath.Base(path), got.Counters.Selected, want.Counters.Selected)
+		}
+		return
+	}
+	var ce *seal.CorruptError
+	if !errors.Is(err, ErrCorruptCheckpoint) || !errors.As(err, &ce) {
+		t.Errorf("%s: error %v is not a *seal.CorruptError matching ErrCorruptCheckpoint", filepath.Base(path), err)
+		return
+	}
+	if ce.Path != path {
+		t.Errorf("%s: error path %q, want %q", filepath.Base(path), ce.Path, path)
+	}
+	if wantOffset && ce.Offset < 0 {
+		t.Errorf("%s: no byte offset in %v", filepath.Base(path), err)
+	}
+}
+
+// encodeCheckpoint returns cp's sealed encoding and its clean decode.
+func encodeCheckpoint(t *testing.T, cp *Checkpoint) ([]byte, *Checkpoint) {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := cp.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	valid := buf.Bytes()
-	dir := t.TempDir()
+	clean, err := DecodeCheckpoint(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), clean
+}
 
+// TestCorruptionMatrix: every way of damaging a checkpoint file —
+// truncation at any point, any single flipped byte, trailing junk,
+// zeroed content, a missing seal, an empty file — must come back as a
+// typed *seal.CorruptError (never a panic, never a checkpoint that
+// differs from the one written), with the byte offset populated
+// whenever the damage has one.
+func TestCorruptionMatrix(t *testing.T) {
+	valid, want := encodeCheckpoint(t, interruptedCheckpoint(t))
+	dir := t.TempDir()
 	check := func(name string, data []byte, wantOffset bool) {
 		t.Helper()
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadCheckpointFile(path)
-		if err == nil {
-			// A mutation can still be a structurally valid checkpoint
-			// (e.g. a flipped byte inside a counter that stays
-			// non-negative); those are caught by the resume-time
-			// fingerprint check instead. What is forbidden is a nil-error
-			// checkpoint with no circuit binding.
-			if got.Circuit == "" {
-				t.Errorf("%s: decoded a checkpoint bound to no circuit", name)
-			}
-			return
-		}
-		if !errors.Is(err, ErrCorruptCheckpoint) {
-			t.Errorf("%s: error %v does not match ErrCorruptCheckpoint", name, err)
-			return
-		}
-		var ce *CorruptCheckpointError
-		if !errors.As(err, &ce) {
-			t.Errorf("%s: error %v is not a *CorruptCheckpointError", name, err)
-			return
-		}
-		if ce.Path != path {
-			t.Errorf("%s: error path %q, want %q", name, ce.Path, path)
-		}
-		if wantOffset && ce.Offset < 0 {
-			t.Errorf("%s: no byte offset in %v", name, err)
-		}
+		checkCorruption(t, filepath.Join(dir, name), data, want, wantOffset)
 	}
 
 	// Truncations across the whole file, including cutting inside the
@@ -92,31 +105,57 @@ func TestCorruptionMatrix(t *testing.T) {
 	for _, frac := range []int{0, 1, len(valid) / 4, len(valid) / 2, len(valid) - 1} {
 		check("trunc", valid[:frac], frac > 0)
 	}
-	// Flip every 97th byte (covering structure chars, keys and digits).
-	for i := 0; i < len(valid); i += 97 {
-		mut := append([]byte(nil), valid...)
-		mut[i] ^= 0x5a
-		check("flip", mut, false)
+	// Flip every byte: structure characters, keys, digits and the seal.
+	// 0x01 turns a digit into its neighbour, 0x20 changes a letter's case
+	// and 0x5a turns most bytes into syntax errors.
+	for i := range valid {
+		for _, mask := range []byte{0x01, 0x20, 0x5a} {
+			mut := append([]byte(nil), valid...)
+			mut[i] ^= mask
+			check("flip", mut, false)
+		}
+	}
+	// The first digit of the selected counter, changed to another nonzero
+	// digit: without a seal this decodes, validates and resumes to a
+	// complete run with a wrong selected count, hence a wrong RD count.
+	i := bytes.Index(valid, []byte(`"selected":`)) + len(`"selected":`)
+	mut := append([]byte(nil), valid...)
+	mut[i] = '1' + (mut[i]-'0')%9
+	if _, err := DecodeCheckpoint(bytes.NewReader(mut)); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Errorf("selected-digit: got %v, want ErrCorruptCheckpoint", err)
 	}
 	// Trailing garbage: concatenated JSON and raw junk.
 	check("trail-json", append(append([]byte(nil), valid...), valid...), true)
 	check("trail-junk", append(append([]byte(nil), valid...), []byte("#!garbage")...), true)
 	// Content that decodes but cannot be a real checkpoint.
 	check("zeroed", []byte("{}"), false)
-	check("no-circuit", []byte(`{"version":1,"counters":{},"tasks":[]}`), false)
-	check("neg-counter", []byte(`{"version":1,"circuit":"x","counters":{"selected":-4},"tasks":[]}`), false)
+	check("no-sum", []byte(`{"version":3,"circuit":"x","counters":{},"tasks":[]}`), false)
 	check("not-json", []byte("\x00\xff\x00\xffgarbage"), true)
+	for name, cp := range map[string]*Checkpoint{
+		"no-circuit":  {Version: CheckpointVersion},
+		"neg-counter": {Version: CheckpointVersion, Circuit: "x", Counters: CheckpointCounters{Selected: -4}},
+		"neg-tally":   {Version: ConesCheckpointVersion, Circuit: "x", Tallies: []CheckpointTally{{Gate: 1, Pruned: -1}}},
+	} {
+		var buf bytes.Buffer
+		if err := cp.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		check(name, buf.Bytes(), false)
+	}
 }
 
-// TestVersionMismatchIsNotCorruption: an honest version skew gets its own
-// clear error, not the corruption sentinel.
+// TestVersionMismatchIsNotCorruption: an honest version skew — the
+// unsealed versions 1 and 2 of earlier builds, or a future version —
+// gets its own clear error, not the corruption sentinel.
 func TestVersionMismatchIsNotCorruption(t *testing.T) {
-	_, err := DecodeCheckpoint(bytes.NewReader([]byte(`{"version":99,"circuit":"x"}`)))
-	if err == nil {
-		t.Fatal("future version accepted")
-	}
-	if errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatalf("version mismatch classified as corruption: %v", err)
+	for _, v := range []string{"1", "2", "99"} {
+		_, err := DecodeCheckpoint(bytes.NewReader([]byte(`{"version":` + v + `,"circuit":"x"}`)))
+		if err == nil {
+			t.Fatalf("version %s accepted", v)
+		}
+		if errors.Is(err, ErrCorruptCheckpoint) {
+			t.Fatalf("version %s classified as corruption: %v", v, err)
+		}
 	}
 }
 
@@ -135,12 +174,13 @@ func TestEmptyFileIsCorrupt(t *testing.T) {
 
 // TestInjectedWriteCorruptionIsCaughtOnRead: the chaos loop closes — a
 // checkpoint corrupted on its way to disk (PointCheckpointBytes) is
-// rejected at read time for every corruption seed, never resumed.
+// rejected at read time for every corruption seed, or reads back
+// exactly what was written; it never resumes into other counters.
 func TestInjectedWriteCorruptionIsCaughtOnRead(t *testing.T) {
 	cp := interruptedCheckpoint(t)
-	dir := t.TempDir()
-	for seed := int64(1); seed <= 20; seed++ {
-		path := filepath.Join(dir, "spill.ckpt")
+	_, want := encodeCheckpoint(t, cp)
+	path := filepath.Join(t.TempDir(), "spill.ckpt")
+	for seed := int64(1); seed <= 200; seed++ {
 		func() {
 			defer faultinject.Activate(faultinject.NewPlan(faultinject.Rule{
 				Point: faultinject.PointCheckpointBytes,
@@ -158,34 +198,56 @@ func TestInjectedWriteCorruptionIsCaughtOnRead(t *testing.T) {
 			}
 			continue
 		}
-		// The mutation happened to keep the JSON decodable (e.g. a byte
-		// flip inside the circuit name or a digit). The resume-time
-		// fingerprint validation must then refuse it — decodable is not
-		// the same as trustworthy.
-		c := resilienceCircuit(7)
-		if _, verr := Enumerate(c, FS, Options{Checkpoint: got}); verr == nil {
-			// A flip can also land in a counter and keep everything
-			// plausible; such a checkpoint resumes but cannot claim
-			// completeness against the fingerprinted circuit. Detecting
-			// semantic counter drift is the oracle suite's job; here we
-			// only require that nothing crashed.
-			t.Logf("seed %d: mutation survived decode and validation (benign flip)", seed)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: corrupted checkpoint read back with other contents (selected %d, want %d)",
+				seed, got.Counters.Selected, want.Counters.Selected)
 		}
 	}
 }
 
-// FuzzDecodeCheckpoint: arbitrary bytes must never panic the decoder and
-// never produce a checkpoint with no circuit binding.
+// FuzzDecodeCheckpoint: arbitrary bytes must never panic the decoder; a
+// checkpoint it accepts names its circuit, and re-encoding it decodes to
+// the same sealed contents, deep-equal from then on. (The first decode
+// may differ in form only: an explicit empty list where Encode omits
+// one.)
 func FuzzDecodeCheckpoint(f *testing.F) {
-	f.Add([]byte(`{"version":1,"circuit":"x","counters":{},"tasks":[]}`))
-	f.Add([]byte(`{"version":1}`))
+	for _, cp := range []*Checkpoint{
+		{Version: CheckpointVersion, Circuit: "x", Tasks: []CheckpointTask{}},
+		{Version: CheckpointVersion, Circuit: "x", Tasks: []CheckpointTask{{IsRoot: true}}},
+		{Version: ConesCheckpointVersion, Circuit: "x", Outputs: []int{3}, Tallies: []CheckpointTally{{Gate: 3, Selected: 1}}},
+	} {
+		var buf bytes.Buffer
+		if err := cp.Encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte(`{"version":3,"circuit":"x","counters":{},"tasks":[]}`))
+	f.Add([]byte(`{"version":3}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(``))
-	f.Add([]byte(`{"version":1,"circuit":"x","tasks":[{"is_root":true,"pi":0}]}`))
+	roundTrip := func(t *testing.T, cp *Checkpoint) *Checkpoint {
+		var buf bytes.Buffer
+		if err := cp.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := DecodeCheckpoint(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+		}
+		return again
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := DecodeCheckpoint(bytes.NewReader(data))
-		if err == nil && cp.Circuit == "" {
+		if err != nil {
+			return
+		}
+		if cp.Circuit == "" {
 			t.Fatal("decoded checkpoint bound to no circuit")
+		}
+		again := roundTrip(t, cp)
+		if again.Sum != cp.Sum || !reflect.DeepEqual(roundTrip(t, again), again) {
+			t.Fatal("re-encoding changes the checkpoint")
 		}
 	})
 }

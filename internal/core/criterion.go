@@ -56,6 +56,20 @@ func (cr Criterion) String() string {
 	return fmt.Sprintf("Criterion(%d)", uint8(cr))
 }
 
+// ParseCriterion maps a criterion's wire name back to the criterion:
+// "sigma^pi" (also "sigma-pi", and the empty name, σ^π being the paper's
+// criterion) or "FS" (also "fs"), the two a heuristic's final pass
+// checks.
+func ParseCriterion(s string) (Criterion, error) {
+	switch s {
+	case "", "sigma^pi", "sigma-pi":
+		return SigmaPi, nil
+	case "FS", "fs":
+		return FS, nil
+	}
+	return 0, fmt.Errorf("unknown criterion %q (want sigma^pi|FS)", s)
+}
+
 // sideConstraints appends to dst the pins of gate g whose source gates
 // must be asserted non-controlling when the path enters g through pin
 // with the given on-path stable value. onPathCtrl reports whether that

@@ -143,15 +143,7 @@ type Result struct {
 
 // RDPercent returns 100*RD/Total as a float; 0 for an empty circuit or
 // an incomplete result (RD unknown).
-func (r *Result) RDPercent() float64 {
-	if r.RD == nil || r.Total.Sign() == 0 {
-		return 0
-	}
-	rd := new(big.Float).SetInt(r.RD)
-	tot := new(big.Float).SetInt(r.Total)
-	q, _ := new(big.Float).Quo(rd, tot).Float64()
-	return 100 * q
-}
+func (r *Result) RDPercent() float64 { return RDPercent(r.RD, r.Total) }
 
 // counters extracts the result's tallies as a checkpoint baseline.
 func (r *Result) counters() CheckpointCounters {

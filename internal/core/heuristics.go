@@ -60,12 +60,14 @@ func Heuristic2SortWorkers(c *circuit.Circuit, workers int) (circuit.InputSort, 
 }
 
 // HeuristicSort computes the whole-circuit input sort h prescribes, nil
-// for HeuristicFUS (the FS criterion needs none). workers is Heuristic
-// 2's budget for its two Algorithm 3 passes; the sort is the same for
-// every budget. A cone's share of the sort is its projection
-// (InputSort.Cone), which is what lets per-cone counters sum to the
-// whole-circuit run.
-func HeuristicSort(c *circuit.Circuit, h Heuristic, workers int) (*circuit.InputSort, error) {
+// for HeuristicFUS (its FS criterion needs none): the one place the
+// heuristic → sort decision is made. workers is Heuristic 2's budget for
+// its two Algorithm 3 passes, and ctx (nil for none) interrupts them —
+// they cannot yield a partial sort, so interruption returns
+// ErrDeadline/ErrCanceled; the sort is the same for every budget. A
+// cone's share of the sort is its projection (InputSort.Cone), which is
+// what lets per-cone counters sum to the whole-circuit run.
+func HeuristicSort(ctx context.Context, c *circuit.Circuit, h Heuristic, workers int) (*circuit.InputSort, error) {
 	var s circuit.InputSort
 	switch h {
 	case HeuristicFUS:
@@ -74,7 +76,7 @@ func HeuristicSort(c *circuit.Circuit, h Heuristic, workers int) (*circuit.Input
 		s = Heuristic1Sort(c)
 	case Heuristic2, Heuristic2Inverse:
 		var err error
-		if s, _, _, err = Heuristic2SortWorkers(c, workers); err != nil {
+		if s, _, _, err = heuristic2SortCtx(c, workers, ctx); err != nil {
 			return nil, err
 		}
 		if h == Heuristic2Inverse {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"strings"
 	"time"
 
 	"rdfault/internal/circuit"
@@ -30,6 +31,36 @@ const (
 	// arbitrary-sort baseline.
 	HeuristicPinOrder
 )
+
+// heuristicNames are the heuristics' command-line and wire names.
+var heuristicNames = [...]string{
+	HeuristicFUS:      "fus",
+	Heuristic1:        "heu1",
+	Heuristic2:        "heu2",
+	Heuristic2Inverse: "inverse",
+	HeuristicPinOrder: "pin",
+}
+
+// ParseHeuristic maps a command-line or wire name (fus, heu1, heu2,
+// inverse, pin; in any letter case) to its heuristic.
+func ParseHeuristic(name string) (Heuristic, error) {
+	for h, n := range heuristicNames {
+		if strings.EqualFold(name, n) {
+			return Heuristic(h), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown heuristic %q (want fus|heu1|heu2|inverse|pin)", name)
+}
+
+// Criterion is the criterion h's final pass checks: FS for HeuristicFUS,
+// which computes no sort, and σ^π under the sort of every other
+// heuristic.
+func (h Heuristic) Criterion() Criterion {
+	if h == HeuristicFUS {
+		return FS
+	}
+	return SigmaPi
+}
 
 // String names the heuristic as in Table I's columns.
 func (h Heuristic) String() string {
@@ -81,13 +112,15 @@ type Report struct {
 
 // RDPercent returns 100*RD/TotalLogicalPaths; 0 when RD is unknown
 // (incomplete run) or the circuit is empty.
-func (r *Report) RDPercent() float64 {
-	if r.RD == nil || r.TotalLogicalPaths.Sign() == 0 {
+func (r *Report) RDPercent() float64 { return RDPercent(r.RD, r.TotalLogicalPaths) }
+
+// RDPercent is 100*rd/total, the paper's RD percentage; 0 when rd is
+// unknown (nil) or the circuit has no paths.
+func RDPercent(rd, total *big.Int) float64 {
+	if rd == nil || total == nil || total.Sign() == 0 {
 		return 0
 	}
-	rd := new(big.Float).SetInt(r.RD)
-	tot := new(big.Float).SetInt(r.TotalLogicalPaths)
-	q, _ := new(big.Float).Quo(rd, tot).Float64()
+	q, _ := new(big.Float).Quo(new(big.Float).SetInt(rd), new(big.Float).SetInt(total)).Float64()
 	return 100 * q
 }
 
@@ -121,40 +154,14 @@ func Identify(c *circuit.Circuit, h Heuristic, opt Options) (*Report, error) {
 		opt.Deadline = 0
 	}
 
-	var sortDur time.Duration
-	var s circuit.InputSort
-	switch h {
-	case HeuristicFUS:
-		// No sort; final pass checks FS only.
-	case Heuristic1:
-		t0 := time.Now()
-		s = Heuristic1Sort(c)
-		sortDur = time.Since(t0)
-	case Heuristic2, Heuristic2Inverse:
-		t0 := time.Now()
-		s2, _, _, err := heuristic2SortCtx(c, opt.Workers, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if h == Heuristic2Inverse {
-			s2 = s2.Inverse()
-		}
-		s = s2
-		sortDur = time.Since(t0)
-	case HeuristicPinOrder:
-		s = circuit.PinOrderSort(c)
-	default:
-		return nil, fmt.Errorf("core: unknown heuristic %v", h)
+	t0 := time.Now()
+	sort, err := HeuristicSort(ctx, c, h, opt.Workers)
+	if err != nil {
+		return nil, err
 	}
-
-	cr := SigmaPi
-	if h == HeuristicFUS {
-		cr = FS
-	} else {
-		opt.Sort = &s
-		rep.Sort = &s
-	}
-	res, err := Enumerate(c, cr, opt)
+	sortDur := time.Since(t0)
+	opt.Sort, rep.Sort = sort, sort
+	res, err := Enumerate(c, h.Criterion(), opt)
 	if err != nil {
 		return nil, err
 	}

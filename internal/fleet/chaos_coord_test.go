@@ -21,6 +21,7 @@ import (
 	"rdfault/internal/faultinject"
 	"rdfault/internal/fleet/journal"
 	"rdfault/internal/gen"
+	"rdfault/internal/seal"
 	"rdfault/internal/serve"
 )
 
@@ -203,10 +204,10 @@ func TestChaosCoordRecoveryRetiresJournaledAnswers(t *testing.T) {
 }
 
 // Injected journal corruption: the write path rots a record in place
-// (the primary never notices), recovery surfaces a typed *CorruptError
-// with the byte offset, replays the valid prefix, truncates the rotten
-// tail, and recomputes everything the tail covered — counters
-// bit-identical.
+// (the primary never notices), recovery surfaces a typed
+// *seal.CorruptError with the byte offset, replays the valid prefix,
+// truncates the rotten tail, and recomputes everything the tail
+// covered — counters bit-identical.
 func TestChaosCoordCorruptJournalRecoversByRecompute(t *testing.T) {
 	ref := chaosRef(t)
 	c := gen.RippleAdder(4, gen.XorNAND)
@@ -236,9 +237,9 @@ func TestChaosCoordCorruptJournalRecoversByRecompute(t *testing.T) {
 	}
 
 	_, rerr := journal.ReadFile(path)
-	var ce *journal.CorruptError
+	var ce *seal.CorruptError
 	if !errors.As(rerr, &ce) {
-		t.Fatalf("corrupt journal read %v, want *journal.CorruptError", rerr)
+		t.Fatalf("corrupt journal read %v, want *seal.CorruptError", rerr)
 	}
 	if ce.Offset <= 0 {
 		t.Fatalf("corruption offset %d; record 4 sits past the admit record", ce.Offset)
@@ -378,4 +379,67 @@ func AuditOrZero(t *testing.T, path string) int {
 		t.Fatalf("audit %s: %v", path, err)
 	}
 	return audit.Records
+}
+
+// heldReplies holds every dispatch reply until n dispatches have
+// replied, so the coordinator's worker loops merge their groups at once.
+type heldReplies struct {
+	Transport
+	mu      sync.Mutex
+	pending int
+	all     chan struct{}
+}
+
+func (h *heldReplies) Dispatch(ctx context.Context, worker string, req serve.ConeRequest) (*serve.ConeAnswer, error) {
+	ans, err := h.Transport.Dispatch(ctx, worker, req)
+	h.mu.Lock()
+	if h.pending--; h.pending == 0 {
+		close(h.all)
+	}
+	h.mu.Unlock()
+	select {
+	case <-h.all:
+	case <-ctx.Done():
+	}
+	return ans, err
+}
+
+// A killed coordinator journals nothing more: when one group's merge
+// fires the kill while the other worker loops are merging theirs, the
+// journal ends at the record that was last when the kill fired.
+func TestChaosCoordKillEndsJournal(t *testing.T) {
+	c := gen.RippleAdder(4, gen.XorNAND)
+	pool := newPool(t, 4)
+	cfg := testConfig(pool, 0)
+	cfg.Transport = &heldReplies{Transport: cfg.Transport, pending: 4, all: make(chan struct{})}
+	path := filepath.Join(t.TempDir(), "coord.journal")
+	jw, err := journal.Create(path, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Journal = jw
+	var killedAt atomic.Uint64
+	cfg.OnEvent = func(ev Event) {
+		if ev.Kind == EvKilled {
+			killedAt.Store(jw.Seq())
+		}
+	}
+	plan := faultinject.NewPlan(faultinject.Rule{
+		Point: faultinject.PointCoordKill + ".mid-merge",
+		Kind:  faultinject.KindError, Hit: 1, Count: 1,
+	})
+	restore := faultinject.Activate(plan)
+	_, runErr := Run(context.Background(), cfg, c, core.Heuristic2)
+	restore()
+	jw.Close()
+	if !errors.Is(runErr, ErrKilled) {
+		t.Fatalf("primary survived: %v", runErr)
+	}
+	recs, err := journal.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := recs[len(recs)-1].Seq; last != killedAt.Load() {
+		t.Fatalf("journal ends at record %d, the kill fired after record %d", last, killedAt.Load())
+	}
 }

@@ -230,7 +230,7 @@ func TestChaosAllWorkersDeadFailsTyped(t *testing.T) {
 // exactly the counters of the whole chain run on B alone, cone by cone.
 func TestChaosCheckpointMigratesAcrossWorkers(t *testing.T) {
 	c := gen.RippleAdder(6, gen.XorNAND)
-	sort, err := core.HeuristicSort(c, core.Heuristic2, 0)
+	sort, err := core.HeuristicSort(context.Background(), c, core.Heuristic2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -287,6 +287,12 @@ type coordinator struct {
 	failOnce sync.Once
 	failErr  error
 
+	// killMu orders a fired coord.kill against journal appends: an append
+	// completes before the kill or never begins, as in a process that
+	// died at that instant.
+	killMu sync.Mutex
+	killed bool
+
 	events *eventLog
 	stats  struct {
 		dispatches, slices, failures, abandoned atomic.Int64
@@ -332,29 +338,40 @@ func fireKill(phase string) error {
 }
 
 // killCheck aborts the run at a phase boundary if a coord.kill rule
-// fires; true means the caller must stop — the coordinator "died" here,
-// with every journal record up to this boundary durable and nothing
-// after it.
+// fires; true means the caller must stop — the coordinator "died" here
+// or earlier, with every journal record appended before the kill
+// durable and none appended after it.
 func (co *coordinator) killCheck(phase string) bool {
-	if fireKill(phase) == nil {
-		return false
+	co.killMu.Lock()
+	fired := !co.killed && fireKill(phase) != nil
+	killed := fired || co.killed
+	co.killed = killed
+	co.killMu.Unlock()
+	if fired {
+		co.events.add(EvKilled, "", "", phase, nil)
+		co.fail(fmt.Errorf("%w at %s", ErrKilled, phase))
 	}
-	co.events.add(EvKilled, "", "", phase, nil)
-	co.fail(fmt.Errorf("%w at %s", ErrKilled, phase))
-	return true
+	return killed
 }
 
 // journalAppend writes write-ahead records of one kind with one fsync
-// (nil journal: a no-op). False means the append failed and the run is
-// aborting: a fenced term fails typed with ErrStaleCoordinator (the
-// caller must not perform the side effect — that is the whole
-// at-most-once argument), any other failure aborts because proceeding
-// past an unjournaled side effect would make recovery wrong.
+// (nil journal: a no-op). False means the coordinator was killed or the
+// append failed, and the run is aborting: a fenced term fails typed
+// with ErrStaleCoordinator (the caller must not perform the side effect
+// — that is the whole at-most-once argument), any other failure aborts
+// because proceeding past an unjournaled side effect would make
+// recovery wrong.
 func (co *coordinator) journalAppend(kind string, payloads ...any) bool {
 	if co.jw == nil {
 		return true
 	}
+	co.killMu.Lock()
+	if co.killed {
+		co.killMu.Unlock()
+		return false
+	}
 	err := co.jw.Append(kind, payloads...)
+	co.killMu.Unlock()
 	if co.metrics != nil {
 		co.metrics.JournalBytes.Set(co.jw.Bytes())
 	}
@@ -401,11 +418,8 @@ func Run(ctx context.Context, cfg Config, c *circuit.Circuit, h core.Heuristic) 
 	// are looked up again.
 	defer analysis.Drop(c)
 
-	criterion := core.SigmaPi
-	if h == core.HeuristicFUS {
-		criterion = core.FS
-	}
-	sort, err := core.HeuristicSort(c, h, 0)
+	criterion := h.Criterion()
+	sort, err := core.HeuristicSort(ctx, c, h, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -862,11 +876,10 @@ func (co *coordinator) probe(worker string) bool {
 // merge folds the per-cone answers, in cone order, into the run result
 // and journals the seal.
 func (co *coordinator) merge(start time.Time) (*Result, error) {
-	if err := fireKill("pre-seal"); err != nil {
+	if co.killCheck("pre-seal") {
 		// Every answer is journaled; only the seal is missing. A resumed
 		// journal merges without a single dispatch.
-		co.events.add(EvKilled, "", "", "pre-seal", nil)
-		return nil, fmt.Errorf("%w at pre-seal", ErrKilled)
+		return nil, co.failErr
 	}
 	res := &Result{
 		Circuit:   co.meta.circuit,

@@ -2,7 +2,12 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,6 +178,23 @@ func TestFleetPerConeOrderIsOutputsOrder(t *testing.T) {
 		if pc.Name != cone.Name() {
 			t.Fatalf("per-cone[%d] is %q, want %q", i, pc.Name, cone.Name())
 		}
+	}
+}
+
+// A worker reply that carries no seal is corrupt, not vacuously valid:
+// Dispatch refuses it typed, so its numbers never reach the merge.
+func TestDispatchRejectsUnsealedAnswer(t *testing.T) {
+	ans := serve.ConeAnswer{Status: "complete", Circuit: "x", Criterion: "sigma^pi", TotalPaths: "8", Selected: 4, RD: "4"}
+	if ans.Verify() {
+		t.Fatal("an answer with no sum verified")
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(ans)
+	}))
+	defer srv.Close()
+	_, err := (&HTTPTransport{}).Dispatch(context.Background(), strings.TrimPrefix(srv.URL, "http://"), serve.ConeRequest{})
+	if !errors.Is(err, ErrCorruptResponse) {
+		t.Fatalf("unsealed answer: got %v, want ErrCorruptResponse", err)
 	}
 }
 

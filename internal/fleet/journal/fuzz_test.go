@@ -2,16 +2,19 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"testing"
+
+	"rdfault/internal/seal"
 )
 
 // FuzzJournalReplay feeds arbitrary bytes to Replay and holds the
 // corruption contract: Replay never panics, never returns an error
-// other than *CorruptError, and every record it does return validates
-// on its own — a corrupt journal yields a good prefix plus a typed
-// offset, nothing else.
+// other than *seal.CorruptError, and every record it does return
+// validates on its own — a corrupt journal yields a good prefix plus a
+// typed offset, nothing else.
 func FuzzJournalReplay(f *testing.F) {
 	w, err := Create(f.TempDir()+"/seed.journal", 3, nil)
 	if err != nil {
@@ -37,9 +40,9 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := Replay(bytes.NewReader(data))
 		if err != nil {
-			var ce *CorruptError
+			var ce *seal.CorruptError
 			if !errors.As(err, &ce) {
-				t.Fatalf("Replay error %T (%v) is not *CorruptError", err, err)
+				t.Fatalf("Replay error %T (%v) is not *seal.CorruptError", err, err)
 			}
 			if !errors.Is(err, ErrCorruptRecord) {
 				t.Fatalf("Replay error %v does not wrap ErrCorruptRecord", err)
@@ -57,8 +60,12 @@ func FuzzJournalReplay(f *testing.F) {
 				t.Fatalf("record %d seq %d after %d", i, rec.Seq, lastSeq)
 			}
 			lastSeq = rec.Seq
-			if got := rec.sum(); rec.Sum != got {
-				t.Fatalf("record %d checksum %q, computed %q", i, rec.Sum, got)
+			line, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ValidateLine(line); err != nil {
+				t.Fatalf("record %d: %v", i, err)
 			}
 		}
 	})

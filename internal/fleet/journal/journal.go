@@ -14,21 +14,21 @@
 // shipment answers 409).
 //
 // Corruption: a truncated, bit-flipped or foreign-version record fails
-// typed (*CorruptError, carrying the byte offset of the bad record,
-// mirroring core.CorruptCheckpointError). Replay returns every record
-// before the corruption, so recovery degrades to
-// replay-up-to-corruption + recompute-the-rest — never a wrong merge.
+// typed (*seal.CorruptError, carrying the byte offset of the bad
+// record). Replay returns every record before the corruption, so
+// recovery degrades to replay-up-to-corruption + recompute-the-rest —
+// never a wrong merge.
 package journal
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"sync"
 
 	"rdfault/internal/faultinject"
+	"rdfault/internal/seal"
 )
 
 // FormatVersion stamps every journal record. A reader that finds a
@@ -72,9 +72,9 @@ const (
 // Typed journal errors; match with errors.Is.
 var (
 	// ErrCorruptRecord: a record exists but fails validation (checksum,
-	// format version, framing, sequence). The concrete *CorruptError
-	// carries the byte offset. Replay callers treat everything from that
-	// offset on as lost — recompute, never guess.
+	// format version, framing, sequence). The concrete
+	// *seal.CorruptError carries the byte offset. Replay callers treat
+	// everything from that offset on as lost — recompute, never guess.
 	ErrCorruptRecord = errors.New("journal: corrupt record")
 	// ErrStaleCoordinator: the writer's coordinator term has been fenced
 	// by a newer coordinator (a standby was promoted, or a restart took
@@ -83,25 +83,9 @@ var (
 	ErrStaleCoordinator = errors.New("journal: stale coordinator term")
 )
 
-// CorruptError reports one unusable journal record and where it starts.
-type CorruptError struct {
-	Path   string
-	Offset int64
-	Reason string
-}
-
-// Error names the file, offset and what failed to validate.
-func (e *CorruptError) Error() string {
-	return fmt.Sprintf("journal: corrupt record in %s at byte %d: %s", e.Path, e.Offset, e.Reason)
-}
-
-// Unwrap matches errors.Is(err, ErrCorruptRecord).
-func (e *CorruptError) Unwrap() error { return ErrCorruptRecord }
-
 // Record is one journal entry: the envelope every line of the file
-// decodes to. Sum is FNV-1a over the record serialized with Sum empty
-// (the ConeAnswer sealing idiom), so a single flipped bit anywhere in
-// the line fails validation.
+// decodes to. Sum is seal.JSON of the record with Sum empty, so a
+// single flipped bit anywhere in the line fails validation.
 type Record struct {
 	Version string          `json:"v"`
 	Seq     uint64          `json:"seq"`
@@ -110,21 +94,6 @@ type Record struct {
 	Payload json.RawMessage `json:"payload,omitempty"`
 	Sum     string          `json:"sum"`
 }
-
-func (r *Record) sum() string {
-	cp := *r
-	cp.Sum = ""
-	b, err := json.Marshal(cp)
-	if err != nil {
-		return "unmarshalable"
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// seal stamps the record's checksum.
-func (r *Record) seal() { r.Sum = r.sum() }
 
 // Fence arbitrates coordinator terms in one process: the in-memory
 // analogue of the serve follower lane's term floor. A Writer bound to a
@@ -284,7 +253,7 @@ func (w *Writer) Append(kind string, payloads ...any) error {
 	var buf []byte
 	for i, pb := range pbs {
 		rec := Record{Version: FormatVersion, Seq: w.seq + uint64(i) + 1, Term: w.term, Kind: kind, Payload: pb}
-		rec.seal()
+		rec.Sum = seal.JSON(rec)
 		line, err := json.Marshal(rec)
 		if err != nil {
 			return fmt.Errorf("journal: encode %s: %w", kind, err)

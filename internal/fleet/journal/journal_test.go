@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rdfault/internal/faultinject"
+	"rdfault/internal/seal"
 )
 
 func tempJournal(t *testing.T) string {
@@ -146,9 +147,9 @@ func TestCorruptionFailsTypedWithOffset(t *testing.T) {
 			if !errors.Is(err, ErrCorruptRecord) {
 				t.Fatalf("error %v does not wrap ErrCorruptRecord", err)
 			}
-			var ce *CorruptError
+			var ce *seal.CorruptError
 			if !errors.As(err, &ce) {
-				t.Fatalf("error %T is not *CorruptError", err)
+				t.Fatalf("error %T is not *seal.CorruptError", err)
 			}
 			if ce.Path != path {
 				t.Fatalf("CorruptError.Path = %q, want %q", ce.Path, path)
@@ -271,7 +272,7 @@ func TestShipStaleFailsAppendOtherErrorsAreNonFatal(t *testing.T) {
 	}
 
 	w.Ship = func(uint64, []byte) error {
-		return &CorruptError{Reason: "x"} // not stale: still non-fatal
+		return &seal.CorruptError{Kind: ErrCorruptRecord, Offset: -1, Reason: "x"} // not stale: still non-fatal
 	}
 	if err := w.Append(KindLease, notePayload{Note: "b"}); err != nil {
 		t.Fatalf("append with corrupt-rejecting standby: %v", err)
@@ -340,7 +341,7 @@ func TestJournalCorruptInjectionFailsReplayTyped(t *testing.T) {
 	}
 
 	recs, err := ReadFile(path)
-	var ce *CorruptError
+	var ce *seal.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("replay of injected-corrupt journal: %d records, err %v", len(recs), err)
 	}
@@ -430,9 +431,9 @@ func TestTornTailInsideMultiPayloadAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs, err := ReadFile(path)
-	var ce *CorruptError
+	var ce *seal.CorruptError
 	if !errors.As(err, &ce) || ce.Offset != third {
-		t.Fatalf("torn append replayed with %v, want a *CorruptError at byte %d", err, third)
+		t.Fatalf("torn append replayed with %v, want a *seal.CorruptError at byte %d", err, third)
 	}
 	if len(recs) != 3 || recs[2].Kind != KindAnswer || recs[2].Seq != 3 {
 		t.Fatalf("intact prefix = %+v, want admit and two answers", recs)

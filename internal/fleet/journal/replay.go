@@ -4,10 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
+
+	"rdfault/internal/seal"
 )
 
 // ValidateLine decodes and validates one journal line (no trailing
@@ -30,7 +31,9 @@ func ValidateLine(line []byte) (Record, error) {
 	if rec.Kind == "" {
 		return Record{}, fmt.Errorf("empty record kind")
 	}
-	if want := rec.sum(); rec.Sum != want {
+	unsealed := rec
+	unsealed.Sum = ""
+	if want := seal.JSON(unsealed); rec.Sum != want {
 		return Record{}, fmt.Errorf("checksum %q, computed %q", rec.Sum, want)
 	}
 	return rec, nil
@@ -38,13 +41,21 @@ func ValidateLine(line []byte) (Record, error) {
 
 // Replay reads journal records in order until EOF or the first
 // unusable record. It returns every valid record before the failure;
-// on corruption the error is a *CorruptError whose Offset is the byte
-// position where the bad record starts, so the caller can truncate the
-// tail and recompute what the lost records covered. Sequence numbers
+// on corruption the error is a *seal.CorruptError whose Offset is the
+// byte position where the bad record starts, so the caller can truncate
+// the tail and recompute what the lost records covered. Sequence numbers
 // must be strictly increasing (terms may repeat or grow across
 // takeovers); a gap or repeat marks the record corrupt — it belongs to
 // a write the previous coordinator never acknowledged.
 func Replay(r io.Reader) ([]Record, error) {
+	return replay(r, "")
+}
+
+// replay is Replay naming path in its errors.
+func replay(r io.Reader, path string) ([]Record, error) {
+	corrupt := func(off int64, reason string) error {
+		return &seal.CorruptError{Kind: ErrCorruptRecord, Path: path, Offset: off, Reason: reason}
+	}
 	br := bufio.NewReaderSize(r, 1<<20)
 	var (
 		recs    []Record
@@ -57,17 +68,17 @@ func Replay(r io.Reader) ([]Record, error) {
 			return recs, nil
 		}
 		if err != nil && err != io.EOF {
-			return recs, &CorruptError{Offset: offset, Reason: fmt.Sprintf("read: %v", err)}
+			return recs, corrupt(offset, fmt.Sprintf("read: %v", err))
 		}
 		// A final line without a trailing newline is a torn write: the
 		// coordinator died mid-append. If it still validates, keep it —
 		// the bytes are all there; only the newline is missing.
 		rec, verr := ValidateLine(bytes.TrimSuffix(line, []byte("\n")))
 		if verr != nil {
-			return recs, &CorruptError{Offset: offset, Reason: verr.Error()}
+			return recs, corrupt(offset, verr.Error())
 		}
 		if rec.Seq <= lastSeq {
-			return recs, &CorruptError{Offset: offset, Reason: fmt.Sprintf("sequence %d after %d", rec.Seq, lastSeq)}
+			return recs, corrupt(offset, fmt.Sprintf("sequence %d after %d", rec.Seq, lastSeq))
 		}
 		lastSeq = rec.Seq
 		recs = append(recs, rec)
@@ -93,18 +104,12 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 	}
 }
 
-// ReadFile replays the journal at path. The *CorruptError, if any, has
-// Path filled in.
+// ReadFile replays the journal at path; a *seal.CorruptError names it.
 func ReadFile(path string) ([]Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("journal: open %s: %w", path, err)
 	}
 	defer f.Close()
-	recs, rerr := Replay(f)
-	var ce *CorruptError
-	if errors.As(rerr, &ce) {
-		ce.Path = path
-	}
-	return recs, rerr
+	return replay(f, path)
 }

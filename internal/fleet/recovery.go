@@ -11,6 +11,7 @@ import (
 
 	"rdfault/internal/core"
 	"rdfault/internal/fleet/journal"
+	"rdfault/internal/seal"
 	"rdfault/internal/serve"
 )
 
@@ -102,7 +103,7 @@ func replayJournal(recs []journal.Record) *journalState {
 // bit-identical to an uninterrupted run.
 //
 // A corrupt journal is replayed up to the corruption (typed
-// *journal.CorruptError, coord.journal.corrupt event), the rotten tail
+// *seal.CorruptError, coord.journal.corrupt event), the rotten tail
 // is truncated, and everything it covered is recomputed. A journal with
 // no admit record fails typed with ErrNoJournaledJob.
 //
@@ -124,7 +125,7 @@ func Resume(ctx context.Context, cfg Config, path string) (*Result, error) {
 	start := time.Now()
 
 	recs, rerr := journal.ReadFile(path)
-	var corrupt *journal.CorruptError
+	var corrupt *seal.CorruptError
 	if rerr != nil {
 		if !errors.As(rerr, &corrupt) {
 			return nil, rerr
@@ -142,9 +143,9 @@ func Resume(ctx context.Context, cfg Config, path string) (*Result, error) {
 		}
 		return nil, fmt.Errorf("%w: %s", ErrNoJournaledJob, path)
 	}
-	criterion, err := parseCriterion(st.admit.Criterion)
+	criterion, err := core.ParseCriterion(st.admit.Criterion)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fleet: journaled %v", err)
 	}
 
 	term := st.maxTerm + 1
@@ -269,18 +270,6 @@ func resumeGroups(jobs []*job, st *journalState, workers int) []*group {
 		}
 	}
 	return groups
-}
-
-// parseCriterion maps the journaled wire name back to the enumeration
-// criterion (the serve lane's naming).
-func parseCriterion(s string) (core.Criterion, error) {
-	switch s {
-	case "sigma^pi", "sigma-pi":
-		return core.SigmaPi, nil
-	case "FS", "fs":
-		return core.FS, nil
-	}
-	return 0, fmt.Errorf("fleet: journaled criterion %q unknown", s)
 }
 
 // JournalAudit is what AuditJournal proves about a finished journal:

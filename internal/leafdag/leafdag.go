@@ -197,14 +197,7 @@ type Report struct {
 }
 
 // RDPercent returns 100*RD/Total.
-func (r *Report) RDPercent() float64 {
-	if r.TotalLogicalPaths.Sign() == 0 {
-		return 0
-	}
-	tot := new(big.Float).SetInt(r.TotalLogicalPaths)
-	q, _ := new(big.Float).Quo(new(big.Float).SetInt64(r.RD), tot).Float64()
-	return 100 * q
-}
+func (r *Report) RDPercent() float64 { return core.RDPercent(big.NewInt(r.RD), r.TotalLogicalPaths) }
 
 // IdentifyRD runs the unfolding-based identification on every output cone
 // of c and aggregates the results.

@@ -6,13 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"rdfault/internal/analysis"
 	"rdfault/internal/circuit"
 	"rdfault/internal/core"
 	"rdfault/internal/faultinject"
+	"rdfault/internal/seal"
 	"rdfault/internal/store"
 )
 
@@ -90,43 +90,27 @@ type ConeAnswer struct {
 	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
 	Cones      []*ConeAnswer   `json:"cones,omitempty"`
 	DurationMS int64           `json:"duration_ms"`
-	// Sum is an end-to-end integrity checksum over every answer field
-	// except itself and DurationMS. A coordinator that receives an answer
-	// whose Sum does not recompute treats the response as corrupt in
-	// transit and retries — it never merges the numbers.
+	// Sum is an end-to-end integrity checksum (seal.JSON) over every
+	// answer field except itself and DurationMS. A coordinator that
+	// receives an answer whose Sum is missing or does not recompute
+	// treats the response as corrupt in transit and retries — it never
+	// merges the numbers.
 	Sum string `json:"sum,omitempty"`
 }
 
 // Seal stamps the answer's integrity checksum. The server seals every
 // answer it sends; Verify checks it on the receiving side.
-func (a *ConeAnswer) Seal() { a.Sum = a.sum() }
+func (a *ConeAnswer) Seal() { a.Sum = seal.JSON(a.unsealed()) }
 
-// Verify recomputes the checksum; an answer without one (an older
-// server) passes vacuously.
-func (a *ConeAnswer) Verify() bool { return a.Sum == "" || a.Sum == a.sum() }
+// Verify recomputes the checksum; an answer that carries none fails.
+func (a *ConeAnswer) Verify() bool { return a.Sum != "" && a.Sum == seal.JSON(a.unsealed()) }
 
-func (a *ConeAnswer) sum() string {
-	cp := *a
-	cp.Sum = ""
-	cp.DurationMS = 0
-	b, err := json.Marshal(cp)
-	if err != nil {
-		return "unmarshalable"
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// coneCriterion maps the wire name to the enumeration criterion.
-func coneCriterion(s string) (core.Criterion, error) {
-	switch s {
-	case "", "sigma^pi", "sigma-pi":
-		return core.SigmaPi, nil
-	case "FS", "fs":
-		return core.FS, nil
-	}
-	return 0, fmt.Errorf("%w: unknown criterion %q (want sigma^pi|FS)", ErrBadRequest, s)
+// unsealed is what the checksum covers: the answer without its Sum and
+// DurationMS.
+func (a *ConeAnswer) unsealed() ConeAnswer {
+	u := *a
+	u.Sum, u.DurationMS = "", 0
+	return u
 }
 
 // Cone runs one enumeration slice synchronously. It never queues: the
@@ -152,9 +136,9 @@ func (s *Server) Cone(req ConeRequest) (*ConeAnswer, error) {
 		return nil, ErrShutdown
 	}
 
-	cr, err := coneCriterion(req.Criterion)
+	cr, err := core.ParseCriterion(req.Criterion)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	c, err := s.admit(req.Name, req.Bench)
 	if err != nil {
@@ -188,35 +172,22 @@ func (s *Server) Cone(req ConeRequest) (*ConeAnswer, error) {
 	}
 
 	start := time.Now()
-	resv, err := s.budget.Reserve(estimateBytes(c, TierFast, opt.Workers))
+	h, err := s.reserve(s.baseCtx, estimateBytes(c, TierFast, opt.Workers))
 	if err != nil {
 		return nil, err
 	}
-	defer resv.Release()
+	defer h.release()
 
 	// The slice deadline is anchored at the injectable clock, like every
 	// deadline in this package; an eviction or drain cancels the same
 	// context, and all three interruption paths end in a checkpoint.
-	ctx := s.baseCtx
-	var cancel context.CancelFunc
+	opt.Context = h.ctx
 	if req.SliceMS > 0 {
-		ctx, cancel = context.WithDeadline(ctx,
+		var cancel context.CancelFunc
+		opt.Context, cancel = context.WithDeadline(h.ctx,
 			faultinject.Now(faultinject.PointClock).Add(time.Duration(req.SliceMS)*time.Millisecond))
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
 	}
-	defer cancel()
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		select {
-		case <-resv.Evicted():
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	defer func() { cancel(); <-watchDone }()
-	opt.Context = ctx
 
 	cones, walk, err := core.EnumerateCones(c, cr, outputs, opt)
 	if err != nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"math/big"
@@ -41,7 +42,7 @@ func TestConeAnswersSumToWholeCircuitRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort, err := core.HeuristicSort(c, core.Heuristic2, 1)
+	sort, err := core.HeuristicSort(context.Background(), c, core.Heuristic2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestConeFSCriterionSums(t *testing.T) {
 // worker, since both sides parse the same bench text.
 func TestConeSliceChainMatchesOneShot(t *testing.T) {
 	c := gen.RippleAdder(6, gen.XorNAND)
-	sort, err := core.HeuristicSort(c, core.Heuristic2, 1)
+	sort, err := core.HeuristicSort(context.Background(), c, core.Heuristic2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestConeSliceChainMatchesOneShot(t *testing.T) {
 // and wrong-circuit fingerprints both land there, never a wrong answer.
 func TestConeBadCheckpointIsTyped(t *testing.T) {
 	c := gen.RippleAdder(4, gen.XorNAND)
-	sort, err := core.HeuristicSort(c, core.Heuristic2, 1)
+	sort, err := core.HeuristicSort(context.Background(), c, core.Heuristic2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestConeBadCheckpointIsTyped(t *testing.T) {
 // shed in Health — the fleet's backpressure signal.
 func TestConeLaneSheds(t *testing.T) {
 	c := gen.RippleAdder(4, gen.XorNAND)
-	sort, err := core.HeuristicSort(c, core.Heuristic2, 1)
+	sort, err := core.HeuristicSort(context.Background(), c, core.Heuristic2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestConeLaneSheds(t *testing.T) {
 // their drivers' names, which is why requests address them by position.
 func TestConeGroupRequestMatchesPerConeRequests(t *testing.T) {
 	c := gen.RippleAdder(4, gen.XorNAND)
-	sort, err := core.HeuristicSort(c, core.Heuristic2, 1)
+	sort, err := core.HeuristicSort(context.Background(), c, core.Heuristic2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestConeGroupRequestMatchesPerConeRequests(t *testing.T) {
 // request: its walk counters are the cone's Enumerate counters.
 func TestConeEmptyOutputsOnConeNetlist(t *testing.T) {
 	c := gen.RippleAdder(4, gen.XorNAND)
-	sort, err := core.HeuristicSort(c, core.Heuristic2, 1)
+	sort, err := core.HeuristicSort(context.Background(), c, core.Heuristic2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +374,7 @@ func TestConeBadOutputPositions(t *testing.T) {
 // again; the lane releases its analysis, so the registry does not grow.
 func TestConeLaneReleasesAnalysis(t *testing.T) {
 	c := gen.RippleAdder(4, gen.XorNAND)
-	sort, err := core.HeuristicSort(c, core.Heuristic2, 1)
+	sort, err := core.HeuristicSort(context.Background(), c, core.Heuristic2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

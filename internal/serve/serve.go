@@ -13,6 +13,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -427,27 +428,17 @@ func (s *Server) admit(name, bench string) (*circuit.Circuit, error) {
 	return c, nil
 }
 
-var heuristicNames = map[string]core.Heuristic{
-	"":        core.Heuristic2,
-	"fus":     core.HeuristicFUS,
-	"heu1":    core.Heuristic1,
-	"heu2":    core.Heuristic2,
-	"inverse": core.Heuristic2Inverse,
-	"pin":     core.HeuristicPinOrder,
-}
-
 // Submit admits a job into the heavy lane. It never blocks: a full
 // queue returns *SaturatedError immediately (load shedding), a bad or
 // oversized request returns ErrBadRequest/ErrTooLarge, and an accepted
 // job comes back queued with its ID assigned.
 func (s *Server) Submit(req Request) (*Job, error) {
-	h, ok := heuristicNames[req.Heuristic]
-	if !ok {
-		return nil, fmt.Errorf("%w: unknown heuristic %q", ErrBadRequest, req.Heuristic)
+	h, err := core.ParseHeuristic(cmp.Or(req.Heuristic, "heu2"))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	tier := TierFast
 	if req.Tier != "" {
-		var err error
 		if tier, err = ParseTier(req.Tier); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}

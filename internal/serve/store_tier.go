@@ -2,9 +2,7 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"rdfault/internal/core"
@@ -21,47 +19,19 @@ import (
 // here: IdentifyThrough degrades them to recomputation internally.
 func (s *Server) runStoreFast(ctx context.Context, j *Job) (*Answer, error) {
 	start := time.Now()
-	resv, err := s.budget.Reserve(estimateBytes(j.circuit, TierFast, s.cfg.Workers))
+	h, err := s.reserve(ctx, estimateBytes(j.circuit, TierFast, s.cfg.Workers))
 	if err != nil {
-		if errors.Is(err, ErrBudget) {
-			return nil, &stepDown{cause: err, note: "memory budget"}
-		}
-		return nil, err
+		return nil, s.stepDownOn(err, false)
 	}
-	defer resv.Release()
-
-	tierCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var evicted atomic.Bool
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		select {
-		case <-resv.Evicted():
-			evicted.Store(true)
-			cancel()
-		case <-tierCtx.Done():
-		}
-	}()
-	defer func() { cancel(); <-watchDone }()
+	defer h.release()
 
 	res, err := store.IdentifyThrough(s.cfg.Store, j.circuit, store.Options{
 		Heuristic: j.heuristic,
 		Workers:   s.cfg.Workers,
-		Context:   tierCtx,
+		Context:   h.ctx,
 	})
 	if err != nil {
-		switch {
-		case evicted.Load():
-			return nil, &stepDown{cause: ErrBudget, note: "memory budget"}
-		case errors.Is(err, core.ErrDeadline) || errors.Is(err, core.ErrCanceled),
-			errors.Is(err, core.ErrWorkerPanic):
-			if s.baseCtx.Err() != nil {
-				return nil, ErrShutdown
-			}
-			return nil, &stepDown{cause: err, note: downNote(err)}
-		}
-		return nil, err
+		return nil, s.stepDownOn(err, h.evicted.Load())
 	}
 
 	// The job's progress reports the counters it was served, whether the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/big"
 	"os"
 	"path/filepath"
 	"strings"
@@ -149,6 +148,63 @@ func downNote(err error) string {
 	return "error"
 }
 
+// stepDownOn classifies a rung's failure. The memory budget (a denied
+// reservation, or an eviction mid-run), a deadline, a cancellation and a
+// worker panic step the job down a rung, unless the server is shutting
+// down; any other error fails the job.
+func (s *Server) stepDownOn(err error, evicted bool) error {
+	switch {
+	case evicted:
+		return &stepDown{cause: ErrBudget, note: "memory budget"}
+	case errors.Is(err, ErrBudget):
+		return &stepDown{cause: err, note: "memory budget"}
+	case errors.Is(err, core.ErrDeadline) || errors.Is(err, core.ErrCanceled),
+		errors.Is(err, core.ErrWorkerPanic):
+		if s.baseCtx.Err() != nil {
+			return ErrShutdown
+		}
+		return &stepDown{cause: err, note: downNote(err)}
+	}
+	return err
+}
+
+// hold is one run's budget reservation. Its context is canceled when the
+// budget evicts the reservation, and evicted records that it was.
+type hold struct {
+	ctx     context.Context
+	evicted atomic.Bool
+	release func()
+}
+
+// reserve claims n bytes of the budget for one run under ctx. The run
+// must stop (checkpoint or step down) once hold.ctx is done; release
+// cancels that context, waits for the eviction watcher and returns the
+// bytes.
+func (s *Server) reserve(ctx context.Context, n int64) (*hold, error) {
+	resv, err := s.budget.Reserve(n)
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	h := &hold{ctx: ctx}
+	watchDone := make(chan struct{})
+	go func() {
+		defer close(watchDone)
+		select {
+		case <-resv.Evicted():
+			h.evicted.Store(true)
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	h.release = func() {
+		cancel()
+		<-watchDone
+		resv.Release()
+	}
+	return h, nil
+}
+
 // runLadder executes j starting at its requested tier and walks down the
 // ladder until a rung serves an answer. ctx is the job's context
 // (deadline included); the server's base context aborts the whole job on
@@ -220,33 +276,15 @@ func (s *Server) runTier(ctx context.Context, j *Job, tier Tier, spill *string, 
 // certificate) and steps down.
 func (s *Server) runIdentifyTier(ctx context.Context, j *Job, tier Tier, spill *string, resumed *bool) (*Answer, error) {
 	start := time.Now()
-	resv, err := s.budget.Reserve(estimateBytes(j.circuit, tier, s.cfg.Workers))
+	h, err := s.reserve(ctx, estimateBytes(j.circuit, tier, s.cfg.Workers))
 	if err != nil {
-		if errors.Is(err, ErrBudget) {
-			return nil, &stepDown{cause: err, note: "memory budget"}
-		}
-		return nil, err
+		return nil, s.stepDownOn(err, false)
 	}
-	defer resv.Release()
-
-	tierCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var evicted atomic.Bool
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		select {
-		case <-resv.Evicted():
-			evicted.Store(true)
-			cancel()
-		case <-tierCtx.Done():
-		}
-	}()
-	defer func() { cancel(); <-watchDone }()
+	defer h.release()
 
 	opt := core.Options{
 		Workers:  s.cfg.Workers,
-		Context:  tierCtx,
+		Context:  h.ctx,
 		Exact:    tier == TierExact,
 		Progress: j.tracker,
 	}
@@ -270,17 +308,7 @@ func (s *Server) runIdentifyTier(ctx context.Context, j *Job, tier Tier, spill *
 	if err != nil {
 		// The sort passes were interrupted (no partial sort exists) or
 		// the pipeline was misconfigured.
-		switch {
-		case evicted.Load():
-			return nil, &stepDown{cause: ErrBudget, note: "memory budget"}
-		case errors.Is(err, core.ErrDeadline) || errors.Is(err, core.ErrCanceled),
-			errors.Is(err, core.ErrWorkerPanic):
-			if s.baseCtx.Err() != nil {
-				return nil, ErrShutdown
-			}
-			return nil, &stepDown{cause: err, note: downNote(err)}
-		}
-		return nil, err
+		return nil, s.stepDownOn(err, h.evicted.Load())
 	}
 	switch rep.Status {
 	case core.StatusComplete:
@@ -296,7 +324,7 @@ func (s *Server) runIdentifyTier(ctx context.Context, j *Job, tier Tier, spill *
 			DurationMS: time.Since(start).Milliseconds(),
 		}, nil
 	case core.StatusDeadline, core.StatusCanceled:
-		if !evicted.Load() {
+		if !h.evicted.Load() {
 			if s.baseCtx.Err() != nil {
 				// Shutdown killed the walk. A graceful drain keeps the
 				// progress: the frontier goes to its own file (not the
@@ -361,42 +389,24 @@ func (s *Server) runCertTier(ctx context.Context, j *Job) (*Answer, error) {
 	if j.heuristic == core.HeuristicFUS {
 		return nil, &stepDown{cause: errors.New("serve: no certificate for FUS"), note: "certificate needs an input sort (FUS has none)"}
 	}
-	resv, err := s.budget.Reserve(estimateBytes(j.circuit, TierCertificate, 1))
+	h, err := s.reserve(ctx, estimateBytes(j.circuit, TierCertificate, 1))
 	if err != nil {
-		if errors.Is(err, ErrBudget) {
-			return nil, &stepDown{cause: err, note: "memory budget"}
-		}
-		return nil, err
+		return nil, s.stepDownOn(err, false)
 	}
-	defer resv.Release()
-
-	tierCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var evicted atomic.Bool
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		select {
-		case <-resv.Evicted():
-			evicted.Store(true)
-			cancel()
-		case <-tierCtx.Done():
-		}
-	}()
-	defer func() { cancel(); <-watchDone }()
+	defer h.release()
 
 	// The same sort every rung of the job uses — that shared σ is what
 	// makes the ladder's subset guarantee hold. The heavy Heuristic 2
 	// passes are memoized, so this rung never recomputes a sort a higher
 	// rung already paid for.
-	sort, err := core.HeuristicSort(j.circuit, j.heuristic, 1)
-	if err == nil && sort == nil {
-		err = fmt.Errorf("serve: heuristic %v has no input sort", j.heuristic)
-	}
+	sort, err := core.HeuristicSort(h.ctx, j.circuit, j.heuristic, 1)
 	if err != nil {
+		if h.evicted.Load() {
+			err = ErrBudget
+		}
 		return nil, &stepDown{cause: err, note: downNote(err)}
 	}
-	cert, err := core.CollectRDSegments(j.circuit, *sort, core.Options{Context: tierCtx, Progress: j.tracker})
+	cert, err := core.CollectRDSegments(j.circuit, *sort, core.Options{Context: h.ctx, Progress: j.tracker})
 	if err != nil {
 		return nil, &stepDown{cause: err, note: downNote(err)}
 	}
@@ -405,7 +415,7 @@ func (s *Server) runCertTier(ctx context.Context, j *Job) (*Answer, error) {
 		// A partial segment list certifies nothing; no resume below this
 		// rung either.
 		cause := res.Err
-		if evicted.Load() {
+		if h.evicted.Load() {
 			cause = ErrBudget
 		}
 		if cause == nil {
@@ -423,7 +433,7 @@ func (s *Server) runCertTier(ctx context.Context, j *Job) (*Answer, error) {
 		TotalPaths: res.Total.String(),
 		Selected:   res.Selected,
 		RD:         res.RD.String(),
-		RDPercent:  ratioPercent(res.RD, res.Total),
+		RDPercent:  res.RDPercent(),
 		Segments:   len(cert.Segments),
 		DurationMS: time.Since(start).Milliseconds(),
 	}, nil
@@ -452,13 +462,4 @@ func (s *Server) runCountTier(ctx context.Context, j *Job) (*Answer, error) {
 		RD:         "0",
 		DurationMS: time.Since(start).Milliseconds(),
 	}, nil
-}
-
-// ratioPercent is 100*num/den for big.Int counters (0 on empty circuits).
-func ratioPercent(num, den *big.Int) float64 {
-	if num == nil || den == nil || den.Sign() == 0 {
-		return 0
-	}
-	q, _ := new(big.Float).Quo(new(big.Float).SetInt(num), new(big.Float).SetInt(den)).Float64()
-	return 100 * q
 }

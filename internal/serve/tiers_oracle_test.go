@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"strconv"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ func TestTierLadderSoundVsOracle(t *testing.T) {
 	}
 	for _, c := range circuits {
 		t.Run(c.Name(), func(t *testing.T) {
-			sp, err := core.HeuristicSort(c, core.Heuristic2, 1)
+			sp, err := core.HeuristicSort(context.Background(), c, core.Heuristic2, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"testing"
 
 	"rdfault/internal/circuit"
@@ -93,11 +94,11 @@ func TestConeKeyTransportsUnderRelabel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc, err := core.HeuristicSort(c, h, 0)
+		sc, err := core.HeuristicSort(context.Background(), c, h, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := core.HeuristicSort(r, h, 0)
+		sr, err := core.HeuristicSort(context.Background(), r, h, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"testing"
 
 	"rdfault/internal/circuit"
@@ -294,7 +295,7 @@ func TestECOConeKeysInPlace(t *testing.T) {
 		if h == core.HeuristicFUS {
 			cr = core.FS
 		}
-		sort, err := core.HeuristicSort(c, h, 1)
+		sort, err := core.HeuristicSort(context.Background(), c, h, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +376,7 @@ func TestECOConeKeyFormatPinned(t *testing.T) {
 		{core.HeuristicFUS, core.FS, "a10bae133c6c8278e32b946407bd7898256b80ee4cdba3fe88f0477f1b6ef764"},
 		{core.Heuristic1, core.SigmaPi, "83eab344e6685d83ad976dd16ebb6ba0fe87ef55da2e6cca4ec63de7ac21f6f0"},
 	} {
-		sort, err := core.HeuristicSort(c, tc.h, 1)
+		sort, err := core.HeuristicSort(context.Background(), c, tc.h, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,13 +76,7 @@ type Result struct {
 }
 
 // RDPercent is 100*RD/Total (0 on empty circuits).
-func (r *Result) RDPercent() float64 {
-	if r.RD == nil || r.Total == nil || r.Total.Sign() == 0 {
-		return 0
-	}
-	q, _ := new(big.Float).Quo(new(big.Float).SetInt(r.RD), new(big.Float).SetInt(r.Total)).Float64()
-	return 100 * q
-}
+func (r *Result) RDPercent() float64 { return core.RDPercent(r.RD, r.Total) }
 
 // IdentifyThrough runs RD identification on c through the store s:
 //
@@ -101,8 +95,8 @@ func (r *Result) RDPercent() float64 {
 //     cold run of the same cone-granular pipeline.
 //
 // Corrupt entries (checksum, version or identity failures) are typed
-// *CorruptError at the store layer; here they degrade to recomputation
-// — a corrupt store can cost time, never correctness. Every run emits
+// *seal.CorruptError at the store layer; here they degrade to
+// recomputation — a corrupt store can cost time, never correctness. Every run emits
 // one store.hit, store.delta or store.miss event with the reuse
 // accounting in its fields.
 func IdentifyThrough(s *Store, c *circuit.Circuit, opt Options) (*Result, error) {
@@ -110,12 +104,8 @@ func IdentifyThrough(s *Store, c *circuit.Circuit, opt Options) (*Result, error)
 		return nil, errors.New("store: nil store")
 	}
 	start := time.Now()
-	h := opt.Heuristic
-	cr := core.SigmaPi
-	if h == core.HeuristicFUS {
-		cr = core.FS
-	}
-	ctx := opt.Context
+	h, ctx := opt.Heuristic, opt.Context
+	cr := h.Criterion()
 
 	funcHash, shapeHash, err := HashFor(c)
 	if err != nil {
@@ -168,7 +158,7 @@ func IdentifyThrough(s *Store, c *circuit.Circuit, opt Options) (*Result, error)
 		ancestor = nil
 	}
 
-	sort, err := core.HeuristicSort(c, h, opt.Workers)
+	sort, err := core.HeuristicSort(ctx, c, h, opt.Workers)
 	if err != nil {
 		return nil, err
 	}

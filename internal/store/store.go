@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"rdfault/internal/faultinject"
+	"rdfault/internal/seal"
 	"rdfault/internal/telemetry"
 )
 
@@ -27,25 +27,11 @@ var (
 	// ErrMiss: no entry under that key.
 	ErrMiss = errors.New("store: entry not found")
 	// ErrCorruptEntry: an entry exists but fails validation (checksum,
-	// format version, key echo). The concrete *CorruptError names the
-	// file and the reason. Callers must treat this exactly like a miss —
-	// recompute — never serve the payload.
+	// format version, key echo). The concrete *seal.CorruptError names
+	// the file and the reason. Callers must treat this exactly like a
+	// miss — recompute — never serve the payload.
 	ErrCorruptEntry = errors.New("store: corrupt entry")
 )
-
-// CorruptError reports one unusable on-disk entry.
-type CorruptError struct {
-	Path   string
-	Reason string
-}
-
-// Error names the file and what failed to validate.
-func (e *CorruptError) Error() string {
-	return fmt.Sprintf("store: corrupt entry %s: %s", e.Path, e.Reason)
-}
-
-// Unwrap matches errors.Is(err, ErrCorruptEntry).
-func (e *CorruptError) Unwrap() error { return ErrCorruptEntry }
 
 // Stats counts a handle's traffic since Open.
 type Stats struct {
@@ -124,19 +110,14 @@ func (s *Store) SetMaxBytes(n int64) { s.maxBytes.Store(n) }
 
 // entry is the on-disk envelope: version stamp, kind and key echo (a
 // rename gone wrong or a filesystem-level swap is detected, not
-// trusted), the payload, and its checksum.
+// trusted), the payload, and its checksum (seal.Sum of the payload
+// bytes).
 type entry struct {
 	Version string          `json:"version"`
 	Kind    string          `json:"kind"`
 	Key     string          `json:"key"`
 	Payload json.RawMessage `json:"payload"`
 	Sum     string          `json:"sum"`
-}
-
-func payloadSum(b []byte) string {
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // path shards entries by key prefix so one directory never holds the
@@ -162,31 +143,13 @@ func (s *Store) put(kind, key string, payload any) error {
 	}
 	b, err := json.Marshal(entry{
 		Version: FormatVersion, Kind: kind, Key: key,
-		Payload: pb, Sum: payloadSum(pb),
+		Payload: pb, Sum: seal.Sum(pb),
 	})
 	if err != nil {
 		return fmt.Errorf("store: encode %s/%s: %w", kind, key, err)
 	}
 	b = faultinject.Corrupt(faultinject.PointStoreCorrupt, b)
-	path := s.path(kind, key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: write %s/%s: %w", kind, key, err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+key+".*")
-	if err != nil {
-		return fmt.Errorf("store: write %s/%s: %w", kind, key, err)
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: write %s/%s: %w", kind, key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: write %s/%s: %w", kind, key, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := seal.WriteFile(s.path(kind, key), b); err != nil {
 		return fmt.Errorf("store: write %s/%s: %w", kind, key, err)
 	}
 	s.writes.Add(1)
@@ -252,7 +215,7 @@ func (s *Store) maybeEvict() {
 }
 
 // get loads and validates one entry. ErrMiss for an absent key; a
-// *CorruptError (emitting a store.corrupt event) for an entry that
+// *seal.CorruptError (emitting a store.corrupt event) for an entry that
 // fails any validation. Fault-injection point: store.read.
 func (s *Store) get(kind, key string, payload any) error {
 	path := s.path(kind, key)
@@ -282,20 +245,23 @@ func (s *Store) get(kind, key string, payload any) error {
 }
 
 func (s *Store) validate(path, kind, key string, b []byte, payload any) error {
+	corrupt := func(reason string) error {
+		return &seal.CorruptError{Kind: ErrCorruptEntry, Path: path, Offset: -1, Reason: reason}
+	}
 	var e entry
 	if err := json.Unmarshal(b, &e); err != nil {
-		return &CorruptError{Path: path, Reason: "unparsable envelope"}
+		return corrupt("unparsable envelope")
 	}
 	switch {
 	case e.Version != FormatVersion:
-		return &CorruptError{Path: path, Reason: fmt.Sprintf("format %q, want %q", e.Version, FormatVersion)}
+		return corrupt(fmt.Sprintf("format %q, want %q", e.Version, FormatVersion))
 	case e.Kind != kind || e.Key != key:
-		return &CorruptError{Path: path, Reason: "entry identity mismatch"}
-	case payloadSum(e.Payload) != e.Sum:
-		return &CorruptError{Path: path, Reason: "checksum mismatch"}
+		return corrupt("entry identity mismatch")
+	case seal.Sum(e.Payload) != e.Sum:
+		return corrupt("checksum mismatch")
 	}
 	if err := json.Unmarshal(e.Payload, payload); err != nil {
-		return &CorruptError{Path: path, Reason: "unparsable payload"}
+		return corrupt("unparsable payload")
 	}
 	return nil
 }

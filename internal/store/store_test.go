@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/big"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"rdfault/internal/core"
 	"rdfault/internal/faultinject"
 	"rdfault/internal/gen"
+	"rdfault/internal/seal"
 	"rdfault/internal/telemetry"
 )
 
@@ -110,9 +112,9 @@ func TestStoreCorruptEntryTyped(t *testing.T) {
 	if !errors.Is(err, ErrCorruptEntry) {
 		t.Fatalf("corrupt entry: got %v, want ErrCorruptEntry", err)
 	}
-	var ce *CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("corrupt entry not a *CorruptError: %v", err)
+	var ce *seal.CorruptError
+	if !errors.As(err, &ce) || ce.Path != s.path("run", "k1") {
+		t.Fatalf("corrupt entry not a *seal.CorruptError naming its file: %v", err)
 	}
 	evs, err := telemetry.ParseJSONL(events.Bytes())
 	if err != nil {
@@ -197,7 +199,7 @@ func reference(t *testing.T, c *circuit.Circuit, opt Options) *Result {
 	if opt.Heuristic == core.HeuristicFUS {
 		cr = core.FS
 	}
-	sort, err := core.HeuristicSort(c, opt.Heuristic, opt.Workers)
+	sort, err := core.HeuristicSort(context.Background(), c, opt.Heuristic, opt.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}

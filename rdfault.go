@@ -42,6 +42,7 @@ import (
 	"rdfault/internal/paths"
 	"rdfault/internal/pathsel"
 	"rdfault/internal/pla"
+	"rdfault/internal/seal"
 	"rdfault/internal/sim"
 	"rdfault/internal/stabilize"
 	"rdfault/internal/synth"
@@ -166,22 +167,25 @@ type WorkerError = core.WorkerError
 // run's counters exactly.
 type Checkpoint = core.Checkpoint
 
-// ErrCorruptCheckpoint is the sentinel for a checkpoint file whose bytes
-// cannot be trusted (truncation, garbage, flipped bytes, trailing junk);
-// match with errors.Is. A corrupt file is never decoded into a zero-value
-// resumable state.
+// ErrCorruptCheckpoint is the sentinel for a checkpoint whose bytes
+// cannot be trusted (truncation, garbage, trailing junk, or any change
+// that breaks the checkpoint's checksum); match with errors.Is. Every
+// checkpoint carries that checksum, so a corrupt one is never decoded
+// into a resumable state that differs from what was written.
 var ErrCorruptCheckpoint = core.ErrCorruptCheckpoint
 
-// CorruptCheckpointError reports where (path, byte offset) and why a
-// checkpoint failed to decode; it unwraps to ErrCorruptCheckpoint.
-type CorruptCheckpointError = core.CorruptCheckpointError
+// CorruptCheckpointError reports what failed (Kind, which errors.Is
+// matches against ErrCorruptCheckpoint), where (path, byte offset) and
+// why a checkpoint failed to decode. It is the one corrupt-record error
+// of every sealed format.
+type CorruptCheckpointError = seal.CorruptError
 
 // ReadCheckpointFile loads a checkpoint written by WriteCheckpointFile.
 func ReadCheckpointFile(path string) (*Checkpoint, error) {
 	return core.ReadCheckpointFile(path)
 }
 
-// WriteCheckpointFile atomically writes cp to path.
+// WriteCheckpointFile atomically writes cp, sealed, to path.
 func WriteCheckpointFile(path string, cp *Checkpoint) error {
 	return core.WriteCheckpointFile(path, cp)
 }
